@@ -1,16 +1,25 @@
 """Primal-dual splitting iterations, step-size validation, and the solve loop.
 
-The central iteration advances a primal-dual pair (z, s) by
+PD3O, Chambolle-Pock, Condat-Vu and PDFP share one step, ``primal_dual_step``:
+update the dual at the extrapolated point xbar, take a forward-backward primal
+step, and cache the gradient at the new point,
 
-    x  = prox_{gamma g}(z)
-    s+ = prox_{delta h*}((I - gamma*delta*A A^T) s - delta*grad l*(s)
-                         + delta*A(2x - z - gamma*grad f(x)))
-    z+ = x - gamma*grad f(x) - gamma*A^T s+
+    s+ = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
+    z+ = x - gamma*grad f(x) - gamma*A^T s+,    x+ = prox_{gamma g}(z+).
 
-and caches the next iterate's gradient so each pass costs one g-prox, one
-conjugate prox and one gradient.  The other step functions implement the
-reformulated variant (state carried as (x, xbar, s)) and the competing or
-reduced schemes it is compared against; all of those assume l* = 0.
+The schemes differ only in the next extrapolated point (``EXTRAPOLATIONS``):
+
+    pd3o               2 x+ - z+ - gamma*grad f(x+) - gamma*A^T s+
+    pd3o-reformulated  2 x+ - x + gamma*grad f(x) - gamma*grad f(x+)
+    condat-vu          2 x+ - x
+    chambolle-pock     2 x+ - x, for f = 0
+    pdfp               prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
+
+pd3o is the (z, s) form of the three-operator iteration and costs one g-prox,
+one conjugate prox, one gradient, one A and one A^T per pass; the reformulated
+rule gives the same iterates without z.  Only these two accept a smooth l*.
+AFBA (its gradient point depends on s+), PAPC (pd3o with g = 0) and Davis-Yin
+(A = I, gamma*delta = 1) keep their own steps.
 
 Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
 chosen step into a stopping rule, optional relaxation, and per-iteration
@@ -22,8 +31,9 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -48,6 +58,7 @@ from .metrics import (
     IterationRow,
     MNormContext,
     combined_norm_sq,
+    fixed_point_from_primal_dual,
     fixed_point_residual,
     lagrangian,
 )
@@ -104,8 +115,9 @@ class SolverState:
 
     ``z`` is always the argument of the latest g-prox and ``x`` its output
     (for the g-free scheme they coincide), so the pair (z, s) is comparable
-    across algorithms.  ``xbar`` is the extrapolated point carried by the
-    reformulated/competitor schemes and is None for the (z, s) form.
+    across algorithms.  ``xbar`` is the extrapolated point at which the next
+    dual update evaluates A; it is None for the schemes that do not carry one
+    (PAPC, Davis-Yin).
     """
 
     z: np.ndarray
@@ -116,11 +128,13 @@ class SolverState:
 
     @classmethod
     def fresh(cls, spec: ProblemSpec, steps: StepSizes, z, s) -> "SolverState":
-        """State with x = prox_{gamma g}(z) and its gradient cached."""
+        """State with x = prox_{gamma g}(z), its gradient and the pd3o xbar cached."""
         z = as_vector(z, spec.x_dim, name="z")
         s = as_vector(s, spec.s_dim, name="s")
         x = spec.g.prox(z, steps.gamma)
-        return cls(z=z, s=s, x=x, grad_f=spec.f.gradient(x))
+        state = cls(z=z, s=s, x=x, grad_f=spec.f.gradient(x))
+        state.xbar = _pd3o_point(spec, steps.gamma, None, state, spec.A.adjoint_apply(s))
+        return state
 
     def copy(self) -> "SolverState":
         dup = lambda a: None if a is None else a.copy()
@@ -141,6 +155,50 @@ def _require_lstar_zero(spec: ProblemSpec, name: str):
         raise AlgorithmMisuseError(f"{name} assumes l* = 0; use pd3o for smooth l*")
 
 
+# --- the shared primal-dual step and its extrapolation table --------------------
+
+
+@dataclass(frozen=True)
+class Extrapolation:
+    """One row of the xbar table: the scheme's rules and the problems it accepts.
+
+    ``rule(spec, gamma, prev, nxt, ats)`` gives xbar+ from the states before
+    and after the step (nxt.xbar not yet set) and ats = A^T s+.  ``start``
+    reads only nxt and ats, so it also gives xbar0 from the initial state.
+    """
+
+    rule: Callable
+    start: Callable
+    smooth_lstar: bool = False  # accepts l* != 0
+    needs_zero_f: bool = False
+
+
+def _pd3o_point(spec, gamma, prev, nxt, ats):
+    return 2.0 * nxt.x - nxt.z - gamma * nxt.grad_f - gamma * ats
+
+
+def _gradient_corrected_reflection(spec, gamma, prev, nxt, ats):
+    return 2.0 * nxt.x - prev.x + gamma * prev.grad_f - gamma * nxt.grad_f
+
+
+def _reflection(spec, gamma, prev, nxt, ats):
+    return 2.0 * nxt.x - prev.x
+
+
+def _forward_backward_point(spec, gamma, prev, nxt, ats):
+    return spec.g.prox(nxt.x - gamma * nxt.grad_f - gamma * ats, gamma)
+
+
+EXTRAPOLATIONS: dict[AlgorithmId, Extrapolation] = {
+    AlgorithmId.PD3O: Extrapolation(_pd3o_point, _pd3o_point, smooth_lstar=True),
+    AlgorithmId.PD3O_REFORMULATED: Extrapolation(
+        _gradient_corrected_reflection, _pd3o_point, smooth_lstar=True),
+    AlgorithmId.CONDAT_VU: Extrapolation(_reflection, _pd3o_point),
+    AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, needs_zero_f=True),
+    AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point),
+}
+
+
 def initial_state(
     spec: ProblemSpec,
     steps: StepSizes,
@@ -150,100 +208,69 @@ def initial_state(
 ) -> SolverState:
     """Default start: z0 = 0, s0 = 0, auxiliary variables derived consistently.
 
-    The extrapolated point is initialized so that every reduced scheme starts
-    on the trajectory of the (z, s) form from the same (z0, s0).
+    The extrapolated point comes from the scheme's start rule, so every
+    reduced scheme starts on the trajectory of the (z, s) form from the same
+    (z0, s0).
     """
     algorithm = AlgorithmId(algorithm)
     gamma = steps.gamma
     z0 = np.zeros(spec.x_dim) if z0 is None else as_vector(z0, spec.x_dim, name="z0")
     s0 = np.zeros(spec.s_dim) if s0 is None else as_vector(s0, spec.s_dim, name="s0")
     x0 = spec.g.prox(z0, gamma)
-    grad0 = spec.f.gradient(x0)
-    state = SolverState(z=z0, s=s0, x=x0, grad_f=grad0)
-    if algorithm in (AlgorithmId.PD3O_REFORMULATED, AlgorithmId.CHAMBOLLE_POCK,
-                     AlgorithmId.CONDAT_VU):
-        state.xbar = 2.0 * x0 - z0 - gamma * grad0 - gamma * spec.A.adjoint_apply(s0)
-    elif algorithm in (AlgorithmId.PDFP, AlgorithmId.AFBA):
-        w0 = x0 - gamma * grad0 - gamma * spec.A.adjoint_apply(s0)
+    state = SolverState(z=z0, s=s0, x=x0, grad_f=spec.f.gradient(x0))
+    if algorithm in EXTRAPOLATIONS:
+        state.xbar = EXTRAPOLATIONS[algorithm].start(
+            spec, gamma, None, state, spec.A.adjoint_apply(s0))
+    elif algorithm is AlgorithmId.AFBA:
+        w0 = x0 - gamma * state.grad_f - gamma * spec.A.adjoint_apply(s0)
         xbar0 = spec.g.prox(w0, gamma)
-        state.xbar = xbar0
-        if algorithm is AlgorithmId.AFBA:
-            # the prox output is the iterate the scheme carries forward
-            state = SolverState(z=w0, s=s0, x=xbar0, grad_f=None, xbar=xbar0)
+        # the prox output is the iterate the scheme carries forward
+        state = SolverState(z=w0, s=s0, x=xbar0, grad_f=None, xbar=xbar0)
     return state
 
 
 # --- step functions -----------------------------------------------------------
 
 
-def pd3o_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """One pass of the three-operator iteration in its (z, s) form.
+def primal_dual_step(
+    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId
+) -> SolverState:
+    """One pass of the shared skeleton, closed by ``scheme``'s xbar+ rule.
 
-    Uses the cached x = prox_{gamma g}(z) and grad f(x) (computing them when
-    absent), then returns the next state with x+ and grad f(x+) cached.
+    A pd3o state without xbar or a cached gradient is rebuilt from (z, s);
+    the other schemes compute a missing gradient and need xbar.
     """
+    ext = EXTRAPOLATIONS[scheme]
+    if ext.needs_zero_f and not spec.f.is_zero:
+        raise AlgorithmMisuseError(f"the {scheme.value} step requires f = 0")
+    if not ext.smooth_lstar:
+        _require_lstar_zero(spec, f"the {scheme.value} step")
+    if state.xbar is None or state.grad_f is None:
+        if scheme is AlgorithmId.PD3O:
+            state = SolverState.fresh(spec, steps, state.z, state.s)
+        elif state.xbar is None:
+            raise AlgorithmMisuseError(f"the {scheme.value} step needs state.xbar")
+        else:
+            state = replace(state, grad_f=spec.f.gradient(state.x))
     gamma, delta = steps.gamma, steps.delta
-    if state.x is None or state.grad_f is None:
-        state = SolverState.fresh(spec, steps, state.z, state.s)
-    x, z, s, grad = state.x, state.z, state.s, state.grad_f
 
-    u = 2.0 * x - z - gamma * grad - gamma * spec.A.adjoint_apply(s)
-    arg = s + delta * spec.A.apply(u)
+    arg = state.s + delta * spec.A.apply(state.xbar)
     if not spec.lstar.is_zero:
-        arg = arg - delta * spec.lstar.gradient(s)
+        arg = arg - delta * spec.lstar.gradient(state.s)
     s_next = _ensure_finite(prox_conjugate(spec.h, arg, delta), "s-update")
-    z_next = _ensure_finite(
-        x - gamma * grad - gamma * spec.A.adjoint_apply(s_next), "z-update"
-    )
+    ats = spec.A.adjoint_apply(s_next)
+    z_next = state.x - gamma * state.grad_f - gamma * ats
     x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    return SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
+    nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
+    nxt.xbar = _ensure_finite(ext.rule(spec, gamma, state, nxt, ats), "xbar-update")
+    return nxt
 
 
-def pd3o_step_reformulated(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """The same iteration with the update order changed and xbar replacing z.
-
-    s+    = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
-    x+    = prox_{gamma g}(x - gamma*grad f(x) - gamma*A^T s+)
-    xbar+ = 2 x+ - x + gamma*grad f(x) - gamma*grad f(x+)
-    """
-    if state.xbar is None:
-        raise AlgorithmMisuseError("reformulated step needs state.xbar")
-    gamma, delta = steps.gamma, steps.delta
-    x, s, grad = state.x, state.s, state.grad_f
-    if grad is None:
-        grad = spec.f.gradient(x)
-
-    arg = s + delta * spec.A.apply(state.xbar)
-    if not spec.lstar.is_zero:
-        arg = arg - delta * spec.lstar.gradient(s)
-    s_next = _ensure_finite(prox_conjugate(spec.h, arg, delta), "s-update")
-    z_next = x - gamma * grad - gamma * spec.A.adjoint_apply(s_next)
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    grad_next = spec.f.gradient(x_next)
-    xbar_next = _ensure_finite(
-        2.0 * x_next - x + gamma * grad - gamma * grad_next, "xbar-update"
-    )
-    return SolverState(z=z_next, s=s_next, x=x_next, grad_f=grad_next, xbar=xbar_next)
-
-
-def chambolle_pock_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """Primal-dual step for f = 0: dual ascent on A xbar, then g-prox, then
-    extrapolation xbar+ = 2 x+ - x."""
-    if not spec.f.is_zero:
-        raise AlgorithmMisuseError("chambolle_pock_step requires f = 0")
-    _require_lstar_zero(spec, "chambolle_pock_step")
-    if state.xbar is None:
-        raise AlgorithmMisuseError("chambolle_pock_step needs state.xbar")
-    gamma, delta = steps.gamma, steps.delta
-
-    s_next = _ensure_finite(
-        prox_conjugate(spec.h, state.s + delta * spec.A.apply(state.xbar), delta),
-        "s-update",
-    )
-    z_next = state.x - gamma * spec.A.adjoint_apply(s_next)
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    xbar_next = 2.0 * x_next - state.x
-    return SolverState(z=z_next, s=s_next, x=x_next, grad_f=None, xbar=xbar_next)
+pd3o_step = partial(primal_dual_step, scheme=AlgorithmId.PD3O)
+pd3o_step_reformulated = partial(primal_dual_step, scheme=AlgorithmId.PD3O_REFORMULATED)
+chambolle_pock_step = partial(primal_dual_step, scheme=AlgorithmId.CHAMBOLLE_POCK)
+pdfp_step = partial(primal_dual_step, scheme=AlgorithmId.PDFP)
+condat_vu_step = partial(primal_dual_step, scheme=AlgorithmId.CONDAT_VU)
 
 
 def papc_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
@@ -288,53 +315,6 @@ def davis_yin_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> S
     s_next = delta * (w - u)
     x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
     return SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
-
-
-def pdfp_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """Fixed-point variant spending a second g-prox on the extrapolated point.
-
-    s+    = prox_{delta h*}(s + delta*A xbar)
-    x+    = prox_{gamma g}(x - gamma*grad f(x) - gamma*A^T s+)
-    xbar+ = prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
-    """
-    _require_lstar_zero(spec, "pdfp_step")
-    if state.xbar is None:
-        raise AlgorithmMisuseError("pdfp_step needs state.xbar")
-    gamma, delta = steps.gamma, steps.delta
-    x, s = state.x, state.s
-    grad = state.grad_f if state.grad_f is not None else spec.f.gradient(x)
-
-    s_next = _ensure_finite(
-        prox_conjugate(spec.h, s + delta * spec.A.apply(state.xbar), delta), "s-update"
-    )
-    ats = spec.A.adjoint_apply(s_next)
-    z_next = x - gamma * grad - gamma * ats
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    grad_next = spec.f.gradient(x_next)
-    xbar_next = _ensure_finite(
-        spec.g.prox(x_next - gamma * grad_next - gamma * ats, gamma), "xbar-update"
-    )
-    return SolverState(z=z_next, s=s_next, x=x_next, grad_f=grad_next, xbar=xbar_next)
-
-
-def condat_vu_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """Like the reformulated step but extrapolating without gradient correction:
-    xbar+ = 2 x+ - x."""
-    _require_lstar_zero(spec, "condat_vu_step")
-    if state.xbar is None:
-        raise AlgorithmMisuseError("condat_vu_step needs state.xbar")
-    gamma, delta = steps.gamma, steps.delta
-    x, s = state.x, state.s
-    grad = state.grad_f if state.grad_f is not None else spec.f.gradient(x)
-
-    s_next = _ensure_finite(
-        prox_conjugate(spec.h, s + delta * spec.A.apply(state.xbar), delta), "s-update"
-    )
-    z_next = x - gamma * grad - gamma * spec.A.adjoint_apply(s_next)
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    xbar_next = 2.0 * x_next - x
-    return SolverState(z=z_next, s=s_next, x=x_next,
-                       grad_f=spec.f.gradient(x_next), xbar=xbar_next)
 
 
 def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
@@ -395,12 +375,11 @@ def validate_stepsizes(
 
     With t = gamma*delta*||A A^T|| and r = gamma/(2 beta):
 
-      pd3o, pdfp:      t < 1  and  r < 1
-      condat-vu:       t + r <= 1
-      afba:            t/2 + sqrt(t/2)/2 + r <= 1
-      chambolle-pock:  t <= 1
-      papc:            t < 1  and  r < 1
-      davis-yin:       gamma*delta = 1  and  r < 1
+      pd3o, pdfp, papc:  t < 1  and  r < 1
+      condat-vu:         t + r <= 1
+      afba:              t/2 + sqrt(t/2)/2 + r <= 1
+      chambolle-pock:    t <= 1
+      davis-yin:         gamma*delta = 1  and  r < 1
 
     Non-strict boundaries get 1e-12 slack so exact-boundary configurations
     (e.g. t == 1 for chambolle-pock) validate cleanly.
@@ -415,7 +394,8 @@ def validate_stepsizes(
     def verdict(ok: bool, msg: str | None) -> StepSizeVerdict:
         return StepSizeVerdict(valid=ok, violated=None if ok else msg, details=details)
 
-    if algorithm in (AlgorithmId.PD3O, AlgorithmId.PD3O_REFORMULATED, AlgorithmId.PDFP):
+    if algorithm in (AlgorithmId.PD3O, AlgorithmId.PD3O_REFORMULATED, AlgorithmId.PDFP,
+                     AlgorithmId.PAPC):
         if not t < 1.0:
             return verdict(False, f"gamma*delta*||AA^T|| = {t:.6g} must be < 1")
         if not r < 1.0:
@@ -437,12 +417,6 @@ def validate_stepsizes(
         ok = t <= 1.0 + _EPS
         return verdict(ok, None if ok else
                        f"gamma*delta*||AA^T|| = {t:.6g} must be <= 1")
-    if algorithm is AlgorithmId.PAPC:
-        if not t < 1.0:
-            return verdict(False, f"gamma*delta*||AA^T|| = {t:.6g} must be < 1")
-        if not r < 1.0:
-            return verdict(False, f"gamma = {steps.gamma:.6g} must be < 2*beta")
-        return verdict(True, None)
     if algorithm is AlgorithmId.DAVIS_YIN:
         if abs(steps.lam - 1.0) > _EPS:
             return verdict(False, f"gamma*delta = {steps.lam:.6g} must equal 1")
@@ -472,22 +446,12 @@ def fixed_point_residuals(spec: ProblemSpec, steps: StepSizes, z, s) -> FixedPoi
     z = as_vector(z, spec.x_dim, name="z")
     s = as_vector(s, spec.s_dim, name="s")
     x = spec.g.prox(z, gamma)
-    r_primal = np.linalg.norm(
-        z - (x - gamma * spec.f.gradient(x) - gamma * spec.A.adjoint_apply(s))
-    )
+    r_primal = np.linalg.norm(z - fixed_point_from_primal_dual(spec, x, s, gamma))
     ax = spec.A.apply(x)
     if not spec.lstar.is_zero:
         ax = ax - spec.lstar.gradient(s)
     r_dual = np.linalg.norm(s - prox_conjugate(spec.h, s + delta * ax, delta))
     return FixedPointResiduals(primal=float(r_primal), dual=float(r_dual))
-
-
-def fixed_point_from_primal_dual(spec: ProblemSpec, x, s, gamma: float) -> np.ndarray:
-    """z such that (z, s) is the fixed point whose g-prox recovers x:
-    z = x - gamma*grad f(x) - gamma*A^T s."""
-    x = as_vector(x, spec.x_dim)
-    s = as_vector(s, spec.s_dim, name="s")
-    return x - gamma * spec.f.gradient(x) - gamma * spec.A.adjoint_apply(s)
 
 
 # --- oracle-call instrumentation ------------------------------------------------

@@ -8,14 +8,16 @@
 Parameters are entered as (gamma-factor, lambda): the primal step is
 gamma = factor * beta and the dual step is derived as delta = lambda / gamma,
 so a sweep over step sizes is a plain grid over those two numbers.  Exit
-codes: 0 success, 1 parse error, 2 inadmissible step sizes, 3 numerical
-failure.
+codes: 0 success, 1 parse error, 2 inadmissible step sizes or
+algorithm/problem combination, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import io
+import itertools
 import json
 import os
 import sys
@@ -30,6 +32,7 @@ from .algorithms import (
     validate_stepsizes,
 )
 from .exceptions import (
+    AlgorithmMisuseError,
     ConfigParseError,
     NumericalFailureError,
     PdsplitError,
@@ -162,11 +165,20 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _record_to_csv_text(record, series_id=None) -> str:
-    import io
-
     buf = io.StringIO()
     record.write_csv(buf, series_id=series_id)
     return buf.getvalue()
+
+
+def _solve(cfg: RunConfig, instance, algorithm: str, steps: StepSizes, reference):
+    """One solve of ``algorithm`` on ``instance`` with the run settings of ``cfg``."""
+    return solve(
+        instance.spec, algorithm, steps,
+        max_iters=cfg.max_iters, residual_tol=cfg.residual_tol,
+        norm_AAt=instance.norm_AAt, reference=reference,
+        log_every=cfg.log_every, force=cfg.force,
+        descriptor=instance.descriptor,
+    )
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -197,16 +209,7 @@ def cmd_run(cfg: RunConfig) -> int:
         ref = reference_solution(instance, cfg.reference_iters)
         reference = (ref.x, ref.s)
     try:
-        record = solve(
-            instance.spec, AlgorithmId(cfg.algorithm), steps,
-            max_iters=cfg.max_iters, residual_tol=cfg.residual_tol,
-            norm_AAt=instance.norm_AAt, reference=reference,
-            log_every=cfg.log_every, force=cfg.force,
-            descriptor=instance.descriptor,
-        )
-    except StepSizeError as err:
-        print(f"inadmissible step sizes: {err}", file=sys.stderr)
-        return EXIT_INADMISSIBLE
+        record = _solve(cfg, instance, cfg.algorithm, steps, reference)
     except NumericalFailureError as err:
         print(f"numerical failure at iteration {err.iteration}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -223,10 +226,6 @@ def cmd_run(cfg: RunConfig) -> int:
           f"residual={record.metadata['final_residual']:.6g}")
     print(f"wrote {out}")
     return EXIT_OK
-
-
-def _series_id(alg: str, gf: float, lam: float) -> str:
-    return f"{alg}_gf{gf:g}_lam{lam:g}"
 
 
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
@@ -246,46 +245,34 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         "skipped": [],
     }
     status = EXIT_OK
-    for alg in algorithms:
-        for gf in gamma_factors:
-            for lam in lambdas:
-                sid = _series_id(alg, gf, lam)
-                steps = steps_for(cfg, instance, gamma_factor=gf, lam=lam)
-                verdict = validate_stepsizes(AlgorithmId(alg), steps,
-                                             instance.beta, instance.norm_AAt)
-                if not verdict.valid and not cfg.force:
-                    print(f"skip {sid}: {verdict.violated}")
-                    manifest["skipped"].append(
-                        {"series_id": sid, "algorithm": alg, "gamma_factor": gf,
-                         "lambda": lam, "reason": verdict.violated})
-                    continue
-                cell_cfg = dataclasses.replace(cfg, algorithm=alg)
-                try:
-                    record = solve(
-                        instance.spec, AlgorithmId(alg), steps,
-                        max_iters=cell_cfg.max_iters,
-                        residual_tol=cell_cfg.residual_tol,
-                        norm_AAt=instance.norm_AAt, reference=reference,
-                        log_every=cell_cfg.log_every, force=cell_cfg.force,
-                        descriptor=instance.descriptor,
-                    )
-                except NumericalFailureError as err:
-                    print(f"numerical failure in {sid} at iteration {err.iteration}",
-                          file=sys.stderr)
-                    status = EXIT_NUMERICAL
-                    continue
-                cell_text = _record_to_csv_text(record, series_id=sid)
-                _atomic_write(cell_dir / f"{sid}.csv", cell_text)
-                merged_lines.extend(cell_text.splitlines()[1:])
-                manifest["series"].append({
-                    "series_id": sid, "algorithm": alg, "gamma_factor": gf,
-                    "lambda": lam, "csv": str(cell_dir / f"{sid}.csv"),
-                    "iterations": record.metadata["iterations"],
-                    "final_objective": record.metadata["final_objective"],
-                    "final_residual": record.metadata["final_residual"],
-                })
-                print(f"ran {sid}: iterations={record.metadata['iterations']} "
-                      f"objective={record.metadata['final_objective']:.12g}")
+    for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas):
+        sid = f"{alg}_gf{gf:g}_lam{lam:g}"
+        cell = {"series_id": sid, "algorithm": alg, "gamma_factor": gf, "lambda": lam}
+        steps = steps_for(cfg, instance, gamma_factor=gf, lam=lam)
+        verdict = validate_stepsizes(AlgorithmId(alg), steps,
+                                     instance.beta, instance.norm_AAt)
+        if not verdict.valid and not cfg.force:
+            print(f"skip {sid}: {verdict.violated}")
+            manifest["skipped"].append({**cell, "reason": verdict.violated})
+            continue
+        try:
+            record = _solve(cfg, instance, alg, steps, reference)
+        except NumericalFailureError as err:
+            print(f"numerical failure in {sid} at iteration {err.iteration}",
+                  file=sys.stderr)
+            status = EXIT_NUMERICAL
+            continue
+        cell_text = _record_to_csv_text(record, series_id=sid)
+        _atomic_write(cell_dir / f"{sid}.csv", cell_text)
+        merged_lines.extend(cell_text.splitlines()[1:])
+        manifest["series"].append({
+            **cell, "csv": str(cell_dir / f"{sid}.csv"),
+            "iterations": record.metadata["iterations"],
+            "final_objective": record.metadata["final_objective"],
+            "final_residual": record.metadata["final_residual"],
+        })
+        print(f"ran {sid}: iterations={record.metadata['iterations']} "
+              f"objective={record.metadata['final_objective']:.12g}")
     _atomic_write(out, "\n".join(merged_lines) + "\n")
     _atomic_write(out.with_suffix(out.suffix + ".manifest.json"),
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
@@ -363,6 +350,9 @@ def main(argv=None) -> int:
     except ConfigParseError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_PARSE
+    except (StepSizeError, AlgorithmMisuseError) as err:
+        print(f"inadmissible: {err}", file=sys.stderr)
+        return EXIT_INADMISSIBLE
     except OSError as err:
         print(f"i/o error: {err}", file=sys.stderr)
         return EXIT_PARSE

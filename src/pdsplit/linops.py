@@ -33,9 +33,6 @@ class LinearMap:
         self._check(s, self.out_dim, "adjoint_apply")
         return self._adjoint(np.asarray(s, dtype=float))
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
     def _apply(self, x):
         raise NotImplementedError
 
@@ -133,16 +130,6 @@ class DifferenceOp(LinearMap):
         out[-1] = s[-1]
         out[1:-1] = s[:-1] - s[1:]
         return out
-
-
-def apply(op: LinearMap, x: np.ndarray) -> np.ndarray:
-    """Functional form of ``op.apply``."""
-    return op.apply(x)
-
-
-def adjoint_apply(op: LinearMap, s: np.ndarray) -> np.ndarray:
-    """Functional form of ``op.adjoint_apply``."""
-    return op.adjoint_apply(s)
 
 
 def estimate_norm_AAt(

@@ -104,6 +104,14 @@ def lagrangian(spec: ProblemSpec, x, s) -> float:
     return primal + float(spec.A.apply(x) @ s) - hstar - lstar
 
 
+def fixed_point_from_primal_dual(spec: ProblemSpec, x, s, gamma: float) -> np.ndarray:
+    """z such that (z, s) is the fixed point whose g-prox recovers x:
+    z = x - gamma*grad f(x) - gamma*A^T s."""
+    x = as_vector(x, spec.x_dim)
+    s = as_vector(s, spec.s_dim, name="s")
+    return x - gamma * spec.f.gradient(x) - gamma * spec.A.adjoint_apply(s)
+
+
 @dataclass(frozen=True)
 class GapCheck:
     lhs: float
@@ -137,11 +145,7 @@ def ergodic_gap_bound_check(
         )
     probe_x = as_vector(probe_x, spec.x_dim, name="probe_x")
     probe_s = as_vector(probe_s, spec.s_dim, name="probe_s")
-    z_probe = (
-        probe_x
-        - ctx.gamma * spec.f.gradient(probe_x)
-        - ctx.gamma * spec.A.adjoint_apply(probe_s)
-    )
+    z_probe = fixed_point_from_primal_dual(spec, probe_x, probe_s, ctx.gamma)
     lhs = lagrangian(spec, x_avg, probe_s) - lagrangian(spec, probe_x, s_avg)
     rhs = combined_norm_sq(ctx, z_probe - z0, probe_s - s0) / (2.0 * (k + 1) * ctx.gamma)
     return GapCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)

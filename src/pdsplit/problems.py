@@ -88,26 +88,26 @@ class ProblemInstance:
 
 @dataclass(frozen=True)
 class FusedLassoInstance(ProblemInstance):
-    A: np.ndarray = None
-    b: np.ndarray = None
-    x_true: np.ndarray = None
-    mu1: float = 0.0
-    mu2: float = 0.0
-    seed: int = 0
+    A: np.ndarray
+    b: np.ndarray
+    x_true: np.ndarray
+    mu1: float
+    mu2: float
+    seed: int
 
 
 @dataclass(frozen=True)
 class ElasticNetInstance(ProblemInstance):
-    A: np.ndarray = None
-    b: np.ndarray = None
-    mu1: float = 0.0
-    mu2: float = 0.0
-    a_scale: float = 1.0
-    seed: int = 0
-    tau_f: float = 0.0
-    tau_g: float = 0.0
-    tau_lstar: float = 0.0
-    L_g: float = 0.0
+    A: np.ndarray
+    b: np.ndarray
+    mu1: float
+    mu2: float
+    a_scale: float
+    seed: int
+    tau_f: float
+    tau_g: float
+    tau_lstar: float
+    L_g: float
 
     def tau_hstar(self, gamma: float, delta: float) -> float:
         """Strong-monotonicity modulus of h* measured in the dual metric.
@@ -138,8 +138,8 @@ class ElasticNetInstance(ProblemInstance):
 
 @dataclass(frozen=True)
 class ToyQuadraticInstance(ProblemInstance):
-    c: np.ndarray = None
-    seed: int = 0
+    c: np.ndarray
+    seed: int
 
 
 def gen_fused_lasso(

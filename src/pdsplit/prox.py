@@ -162,7 +162,6 @@ class ProxCatalogEntry:
     builder: Callable[..., ProxTerm]
     params: dict = field(default_factory=dict)
     finite_valued: bool = True  # false for indicators (prox -> identity limit fails)
-    has_conjugate: bool = True
 
     def make(self) -> ProxTerm:
         return self.builder(**self.params)

@@ -512,9 +512,11 @@ class TestSolve:
     def test_oracle_counts_per_iteration(self, small_fused_lasso):
         inst = small_fused_lasso
         steps = StepSizes.from_lambda(inst.beta, 0.125)
-        expected = {"pd3o": (1, 1, 1), "condat-vu": (1, 1, 1), "afba": (1, 1, 1),
-                    "pdfp": (2, 1, 1)}
-        for algorithm, (gp, hp, fg) in expected.items():
+        # (g-prox, h-prox, gradient, A^T) calls per iteration
+        expected = {"pd3o": (1, 1, 1, 1), "pd3o-reformulated": (1, 1, 1, 1),
+                    "condat-vu": (1, 1, 1, 1), "afba": (1, 1, 1, 2),
+                    "pdfp": (2, 1, 1, 1)}
+        for algorithm, (gp, hp, fg, at) in expected.items():
             ispec, counters = instrument(inst.spec)
             state = initial_state(ispec, steps, algorithm)
             before = counters.as_dict()
@@ -525,6 +527,7 @@ class TestSolve:
             assert after["g_prox"] - before["g_prox"] == gp * n, algorithm
             assert after["h_prox"] - before["h_prox"] == hp * n, algorithm
             assert after["f_grad"] - before["f_grad"] == fg * n, algorithm
+            assert after["a_adjoint"] - before["a_adjoint"] == at * n, algorithm
 
     def test_numerical_failure_identifies_substep(self):
         broken = ProxTerm(value=lambda x: 0.0,

@@ -211,6 +211,20 @@ class TestMainEntry:
     def test_help_exits_cleanly(self):
         assert main(["--help"]) == EXIT_OK
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--algorithm", "pdfp", "--theta", "1.2"],  # relaxation is pd3o-only
+        ["run", "--algorithm", "chambolle-pock"],          # needs f = 0
+        # theta = 1.6 exceeds 2 - gamma/(2 beta) = 1.5 at gamma = beta
+        ["compare", "--algorithms", "pd3o", "--theta", "1.6"],
+    ])
+    def test_inadmissible_combination_exit_code(self, tmp_path, capsys, argv):
+        code = main([*argv, "--problem", "fused-lasso", "--n", "20", "--p", "30",
+                     "--max-iters", "20", "--reference-iters", "200",
+                     "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_INADMISSIBLE
+        assert "inadmissible" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestBottomSweep:
     def test_gamma_19_lambda_sweep(self, tmp_path):
