@@ -56,6 +56,7 @@ from .linops import LinearMap, estimate_norm_AAt
 from .metrics import (
     ConvergenceRecord,
     IterationRow,
+    LagrangianProbe,
     MNormContext,
     combined_norm_sq,
     fixed_point_from_primal_dual,
@@ -542,13 +543,17 @@ def solve(
 
     ``reference``, when given as a pair (x_ref, s_ref), populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic
-    gap column evaluated at that probe.  ``log_every`` thins the recorded
-    rows, but iterations 0-10 and the final iteration are always kept.
+    gap column evaluated at that probe; the probe's own terms of the
+    Lagrangian are computed on the first gap row and reused after.
+    ``log_every`` thins the recorded rows, but iterations 0-10 and the final
+    iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
     iteration on the solving thread.
 
     Objective-based stopping (``objective_tol``, relative change between
     logged rows) is a secondary criterion for cross-algorithm comparisons.
+    ``metadata["stop_reason"]`` says which rule ended the run: ``converged``
+    (the residual rule, which wins a tie), ``objective_tol`` or ``max_iters``.
     """
     algorithm = AlgorithmId(algorithm)
     if max_iters < 1:
@@ -593,7 +598,7 @@ def solve(
     state = init.copy() if init is not None else initial_state(ispec, steps, algorithm)
 
     ref_x = ref_s = None
-    gap_enabled = False
+    gap_probe = None
     gap_probe_dist_sq = None
     if reference is not None:
         ref_x = as_vector(reference[0], spec.x_dim, name="x_ref")
@@ -605,6 +610,7 @@ def solve(
             and spec.lstar.is_zero
         )
         if gap_enabled:
+            gap_probe = LagrangianProbe(ref_x, ref_s)
             z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
             gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z, ref_s - state.s)
 
@@ -612,7 +618,7 @@ def solve(
     s_sum = np.zeros(spec.s_dim)
     rows: list[IterationRow] = []
     t_start = time.perf_counter()
-    converged = False
+    stop_reason = "max_iters"
     prev_logged_obj = None
     res = math.inf
 
@@ -633,9 +639,9 @@ def solve(
             obj = evaluate_objective(spec, state.x) if spec.lstar.is_zero else math.nan
             dist = None if ref_x is None else float(np.linalg.norm(state.x - ref_x))
             gap = None
-            if gap_enabled:
-                gap = (lagrangian(spec, x_sum / (k + 1), ref_s)
-                       - lagrangian(spec, ref_x, s_sum / (k + 1)))
+            if gap_probe is not None:
+                gap = (lagrangian(spec, x_sum / (k + 1), ref_s, gap_probe)
+                       - lagrangian(spec, ref_x, s_sum / (k + 1), gap_probe))
             rows.append(IterationRow(
                 iter=k, objective=obj, residual_im=res, dist_to_ref=dist, gap=gap,
                 wall_time_s=time.perf_counter() - t_start,
@@ -644,6 +650,7 @@ def solve(
                     and math.isfinite(obj)
                     and abs(obj - prev_logged_obj) <= objective_tol * max(1.0, abs(obj))):
                 stop = True
+                stop_reason = "objective_tol"
             prev_logged_obj = obj
 
         for hook in hooks:
@@ -658,7 +665,8 @@ def solve(
         x_sum += state.x
 
         if stop:
-            converged = res <= residual_tol
+            if res <= residual_tol:
+                stop_reason = "converged"
             break
 
     metadata = {
@@ -672,7 +680,8 @@ def solve(
         "stepsize_valid": verdict.valid,
         "forced": forced,
         "iterations": k + 1,
-        "converged": converged,
+        "converged": stop_reason == "converged",
+        "stop_reason": stop_reason,
         "final_objective": (
             evaluate_objective(spec, state.x) if spec.lstar.is_zero else math.nan
         ),

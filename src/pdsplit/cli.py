@@ -223,7 +223,8 @@ def cmd_run(cfg: RunConfig) -> int:
     print(f"algorithm={record.metadata['algorithm']} "
           f"iterations={record.metadata['iterations']} "
           f"objective={record.metadata['final_objective']:.12g} "
-          f"residual={record.metadata['final_residual']:.6g}")
+          f"residual={record.metadata['final_residual']:.6g} "
+          f"stop_reason={record.metadata['stop_reason']}")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -257,6 +258,10 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
             continue
         try:
             record = _solve(cfg, instance, alg, steps, reference)
+        except AlgorithmMisuseError as err:
+            print(f"skip {sid}: {err}")
+            manifest["skipped"].append({**cell, "reason": str(err)})
+            continue
         except NumericalFailureError as err:
             print(f"numerical failure in {sid} at iteration {err.iteration}",
                   file=sys.stderr)
@@ -270,6 +275,7 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
             "iterations": record.metadata["iterations"],
             "final_objective": record.metadata["final_objective"],
             "final_residual": record.metadata["final_residual"],
+            "stop_reason": record.metadata["stop_reason"],
         })
         print(f"ran {sid}: iterations={record.metadata['iterations']} "
               f"objective={record.metadata['final_objective']:.12g}")

@@ -3,8 +3,11 @@
 A problem instance is ``minimize f(x) + g(x) + (h [] l)(A x)`` with f smooth
 (beta-cocoercive gradient), g and h prox-capable, l entering only through the
 gradient of its conjugate, and A a linear operator.  All oracles are
-deterministic pure functions, so trajectories are bitwise reproducible; every
-term is immutable after construction and safe to share between solver runs.
+deterministic functions of their arguments, so trajectories are bitwise
+reproducible, and every term is safe to share between solver runs.  A term
+may keep a private memo that never changes a result: the least-squares term
+keeps the residual A x - b of its two latest gradient points for ``value``
+to reuse (``problems.least_squares_term``).
 """
 
 from __future__ import annotations

@@ -86,22 +86,58 @@ def fixed_point_residual(ctx: MNormContext, state, nxt) -> float:
     return combined_norm(ctx, nxt.z - state.z, nxt.s - state.s)
 
 
-def lagrangian(spec: ProblemSpec, x, s) -> float:
-    """L(x, s) = f(x) + g(x) + <A x, s> - h*(s) - l*(s); may be +-inf."""
+@dataclass
+class LagrangianProbe:
+    """A fixed pair (x, s) whose terms of L ``lagrangian`` computes only once.
+
+    Passed to every ``lagrangian`` call of one solve: when the x (or s)
+    argument is the probe's own array, its f + g and A x (or h* and l*) are
+    computed on first use, kept in ``terms`` and reused.  The arrays must not
+    be modified while the probe is in use.
+    """
+
+    x: np.ndarray
+    s: np.ndarray
+    terms: dict = field(default_factory=dict)
+
+
+def _dual_terms(spec: ProblemSpec, s) -> tuple:
+    return spec.h.conjugate_value(s), (0.0 if spec.lstar.is_zero else spec.lstar.value(s))
+
+
+def _primal_terms(spec: ProblemSpec, x) -> tuple:
+    primal = spec.f.value(x) + spec.g.value(x)
+    return primal, (None if primal == INF else spec.A.apply(x))
+
+
+def _terms(probe, name: str, compute, spec: ProblemSpec, v) -> tuple:
+    """compute(spec, v), kept in ``probe`` when v is the probe's own array."""
+    if probe is None or v is not getattr(probe, name):
+        return compute(spec, v)
+    if name not in probe.terms:
+        probe.terms[name] = compute(spec, v)
+    return probe.terms[name]
+
+
+def lagrangian(spec: ProblemSpec, x, s, probe: LagrangianProbe | None = None) -> float:
+    """L(x, s) = f(x) + g(x) + <A x, s> - h*(s) - l*(s); may be +-inf.
+
+    With ``probe``, the terms of an argument that is the probe's own x or s
+    come from its cache (see ``LagrangianProbe``); the value is unchanged.
+    """
     if spec.h.conjugate_value is None:
         raise UnsupportedMetricError("h has no conjugate value oracle")
     if spec.lstar.value is None and not spec.lstar.is_zero:
         raise UnsupportedMetricError("l* has no value oracle")
     x = as_vector(x, spec.x_dim)
     s = as_vector(s, spec.s_dim, name="s")
-    hstar = spec.h.conjugate_value(s)
-    lstar = 0.0 if spec.lstar.is_zero else spec.lstar.value(s)
+    hstar, lstar = _terms(probe, "s", _dual_terms, spec, s)
     if hstar == INF or lstar == INF:
         return -INF
-    primal = spec.f.value(x) + spec.g.value(x)
+    primal, ax = _terms(probe, "x", _primal_terms, spec, x)
     if primal == INF:
         return INF
-    return primal + float(spec.A.apply(x) @ s) - hstar - lstar
+    return primal + float(ax @ s) - hstar - lstar
 
 
 def fixed_point_from_primal_dual(spec: ProblemSpec, x, s, gamma: float) -> np.ndarray:

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 import tempfile
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,22 +48,39 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
     When ``beta`` is omitted it is computed as 1 / (||A^T A|| + 2*ridge) from
     a safety-inflated power-iteration estimate, which keeps the declared
     cocoercivity valid.
+
+    The gradient keeps a copy of its two latest points with their residuals
+    r = A x - b, and ``value`` reuses r at a point exactly equal to one of
+    them, so the objective at an iterate whose gradient a solver already took
+    costs no matvec.  The reused r is the array the same expression produced
+    from the same input, so values are bit-identical to a fresh evaluation.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if beta is None:
         lip = estimate_norm_AAt(DenseMatrixOp(A), tol=1e-9) + 2.0 * ridge
         beta = 1.0 / lip
+    # ((x copy, residual), ...) newest first; replaced whole, never edited
+    memo: tuple = ()
+
+    def residual(x):
+        for x_seen, r in memo:
+            if np.array_equal(x_seen, x):
+                return r
+        return A @ x - b
 
     def value(x):
-        r = A @ x - b
+        r = residual(x)
         out = 0.5 * float(r @ r)
         if ridge:
             out += ridge * float(x @ x)
         return out
 
     def gradient(x):
-        g = A.T @ (A @ x - b)
+        nonlocal memo
+        r = A @ x - b
+        memo = ((np.array(x, dtype=float), r), *memo[:1])
+        g = A.T @ r
         if ridge:
             g = g + 2.0 * ridge * x
         return g
@@ -277,6 +295,22 @@ def cache_directory(cache_dir=None) -> Path:
     return Path.home() / ".cache" / "pdsplit"
 
 
+def _load_reference(path: Path, instance_key: str) -> ReferenceSolution | None:
+    """The cached reference at ``path``, or None if it is for another
+    instance or the file is corrupt or truncated."""
+    try:
+        with np.load(path) as data:
+            if str(data["instance_key"]) != instance_key:
+                return None
+            return ReferenceSolution(
+                x=data["x"], s=data["s"], objective=float(data["objective"]),
+                iters=int(data["iters"]), gamma=float(data["gamma"]),
+                delta=float(data["delta"]), instance_key=instance_key,
+            )
+    except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
+        return None
+
+
 def reference_solution(
     instance: ProblemInstance, iters: int = 20000, cache_dir=None
 ) -> ReferenceSolution:
@@ -284,7 +318,8 @@ def reference_solution(
 
     Uses gamma = 1.5*beta and gamma*delta*||A A^T|| = 0.5 internally, runs the
     plain iteration for ``iters`` iterations, and stores (x, s, objective) in
-    an .npz keyed by the instance hash and iteration count.  The cache write
+    an .npz keyed by the instance hash and iteration count.  A cache file
+    that cannot be read counts as a miss and is rebuilt.  The cache write
     is atomic (write to a temp file, then rename), so concurrent generation
     of the same reference is safe.
     """
@@ -299,13 +334,9 @@ def reference_solution(
     delta = 0.5 / (gamma * norm) if norm > 0 else 1.0 / gamma
 
     if path.exists():
-        with np.load(path) as data:
-            if str(data["instance_key"]) == instance.instance_key:
-                return ReferenceSolution(
-                    x=data["x"], s=data["s"], objective=float(data["objective"]),
-                    iters=int(data["iters"]), gamma=float(data["gamma"]),
-                    delta=float(data["delta"]), instance_key=instance.instance_key,
-                )
+        cached = _load_reference(path, instance.instance_key)
+        if cached is not None:
+            return cached
 
     record = solve(
         instance.spec, AlgorithmId.PD3O, StepSizes(gamma, delta),

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from pdsplit.core import (
     ProblemSpec,
     ProxTerm,
     SmoothTerm,
+    evaluate_objective,
     zero_conjugate_smooth,
     zero_smooth,
 )
@@ -28,7 +30,8 @@ from pdsplit.exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from pdsplit.linops import DenseMatrixOp, IdentityOp, ZeroOp, estimate_norm_AAt
+from pdsplit.linops import DenseMatrixOp, IdentityOp, LinearMap, ZeroOp, estimate_norm_AAt
+from pdsplit.metrics import lagrangian
 from pdsplit.problems import (
     gen_toy_quadratic,
     least_squares_term,
@@ -571,6 +574,87 @@ class TestSolve:
         res = fixed_point_residuals(spec, StepSizes(gamma, 1.0 / gamma),
                                     rec.final_state.z, rec.final_state.s)
         assert res.primal <= 1e-8
+
+
+class CountingMap(LinearMap):
+    """Counts ``apply`` calls on an inner operator."""
+
+    def __init__(self, inner):
+        super().__init__(inner.in_dim, inner.out_dim)
+        self.inner, self.applies = inner, 0
+
+    def _apply(self, x):
+        self.applies += 1
+        return self.inner.apply(x)
+
+    def _adjoint(self, s):
+        return self.inner.adjoint_apply(s)
+
+
+class TestLoggedRows:
+    """Logged rows reuse the gradient's residual and the gap probe's constant terms."""
+
+    def _gap_solve(self, inst, ref, spec=None, hooks=()):
+        return solve(spec or inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                     max_iters=60, residual_tol=0.0, norm_AAt=inst.norm_AAt,
+                     reference=(ref.x, ref.s), log_every=1, hooks=hooks)
+
+    def test_objective_and_gap_equal_a_fresh_evaluation(self, small_fused_lasso,
+                                                        small_reference):
+        inst, ref = small_fused_lasso, small_reference
+        # a term of its own, whose value never sees a gradient point
+        fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b, beta=inst.beta))
+        sums, expected = {}, []
+
+        def recompute(k, state, nxt, res):
+            sums["x"] = state.x.copy() if k == 0 else sums["x"] + state.x
+            sums["s"] = nxt.s.copy() if k == 0 else sums["s"] + nxt.s
+            gap = (lagrangian(fresh, sums["x"] / (k + 1), ref.s)
+                   - lagrangian(fresh, ref.x, sums["s"] / (k + 1)))
+            expected.append((evaluate_objective(fresh, state.x), gap))
+
+        rec = self._gap_solve(inst, ref, hooks=(recompute,))
+        assert len(rec.rows) == len(expected) == 60
+        for row, (obj, gap) in zip(rec.rows, expected):
+            assert row.objective == obj, row.iter
+            assert row.gap == gap, row.iter
+
+    def test_diagnostics_apply_A_twice_per_gap_row(self, small_fused_lasso,
+                                                   small_reference):
+        inst, ref = small_fused_lasso, small_reference
+        A = CountingMap(inst.spec.A)
+        rec = self._gap_solve(inst, ref, spec=replace(inst.spec, A=A))
+        assert all(row.gap is not None for row in rec.rows)
+        diagnostics = A.applies - rec.metadata["oracle_calls"]["a_apply"]
+        # per row: h(A x) in the objective and A xbar in L(xbar, s*); per solve:
+        # A x* in the first L(x*, sbar) and h(A x) in the final objective
+        assert diagnostics == 2 * len(rec.rows) + 2
+
+
+class TestStopReason:
+    def test_converged(self):
+        inst = gen_toy_quadratic(dim=12, seed=3)
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(1.0, 0.5),
+                    max_iters=200, residual_tol=1e-10, norm_AAt=1.0)
+        assert rec.metadata["stop_reason"] == "converged"
+        assert rec.metadata["converged"] is True
+
+    def test_max_iters(self, small_fused_lasso):
+        inst = small_fused_lasso
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                    max_iters=30, residual_tol=0.0, norm_AAt=inst.norm_AAt)
+        assert rec.metadata["stop_reason"] == "max_iters"
+        assert rec.metadata["converged"] is False
+        assert rec.metadata["iterations"] == 30
+
+    def test_objective_tol(self, small_fused_lasso):
+        inst = small_fused_lasso
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                    max_iters=5000, residual_tol=0.0, objective_tol=1e-10,
+                    norm_AAt=inst.norm_AAt)
+        assert rec.metadata["stop_reason"] == "objective_tol"
+        assert rec.metadata["converged"] is False
+        assert rec.metadata["iterations"] < 5000
 
 
 class TestInitialState:

@@ -96,8 +96,10 @@ class TestRunCommand:
         assert iters == sorted(iters)
         meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
         assert meta["converged"] is True
+        assert meta["stop_reason"] == "converged"
         assert meta["forced"] is False
         assert meta["config"]["problem"] == "toy-quadratic"
+        assert "stop_reason=converged" in capsys.readouterr().out
 
     def test_monotone_residual_column(self, tmp_path):
         out = tmp_path / "fl.csv"
@@ -190,6 +192,40 @@ class TestCompareCommand:
         # per-cell files are kept for plotting
         cells = list((tmp_path / "sweep.cells").glob("*.csv"))
         assert len(cells) == 8
+
+    def test_misuse_cells_are_skipped_and_the_sweep_completes(self, tmp_path, capsys):
+        out = tmp_path / "mixed.csv"
+        code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200",
+                     "--algorithms", "pd3o,chambolle-pock",
+                     "--gamma-factors", "1.0,1.5", "--lambdas", "0.125",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert {s["series_id"] for s in manifest["series"]} == {
+            "pd3o_gf1_lam0.125", "pd3o_gf1.5_lam0.125"}
+        skipped = {s["series_id"]: s["reason"] for s in manifest["skipped"]}
+        assert set(skipped) == {"chambolle-pock_gf1_lam0.125",
+                                "chambolle-pock_gf1.5_lam0.125"}
+        assert all("requires f = 0" in reason for reason in skipped.values())
+        assert {row[0] for row in read_csv(out)[1:]} == {
+            "pd3o_gf1_lam0.125", "pd3o_gf1.5_lam0.125"}
+        assert "skip chambolle-pock_gf1_lam0.125" in capsys.readouterr().out
+
+    def test_manifest_records_stop_reason(self, tmp_path):
+        common = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                  "--seed", "3", "--algorithms", "pd3o,pdfp", "--gamma-factors", "1.0",
+                  "--lambdas", "0.125", "--reference-iters", "200", "--tol", "1e-6"]
+        for name, max_iters in (("short", "5"), ("long", "20000")):
+            assert main([*common, "--max-iters", max_iters,
+                         "--output", str(tmp_path / f"{name}.csv")]) == EXIT_OK
+        reasons = {
+            name: [s["stop_reason"] for s in json.loads(
+                (tmp_path / f"{name}.csv.manifest.json").read_text())["series"]]
+            for name in ("short", "long")
+        }
+        assert reasons == {"short": ["max_iters"] * 2, "long": ["converged"] * 2}
 
     def test_dist_to_ref_column_populated(self, tmp_path):
         out = tmp_path / "one.csv"

@@ -29,6 +29,10 @@ class TestApply:
             DifferenceOp(4).apply(np.array([1.0, 2.0, 4.0, 8.0])), [1.0, 2.0, 4.0]
         )
 
+    def test_difference_equals_numpy_diff(self, rng):
+        x = rng.standard_normal(1001)
+        assert np.array_equal(DifferenceOp(1001).apply(x), np.diff(x))
+
     def test_identity(self, rng):
         v = rng.standard_normal(7)
         np.testing.assert_array_equal(IdentityOp(7).apply(v), v)

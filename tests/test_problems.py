@@ -14,6 +14,7 @@ from pdsplit.problems import (
     gen_elastic_net_strongly_convex,
     gen_fused_lasso,
     gen_toy_quadratic,
+    least_squares_term,
     reference_solution,
 )
 
@@ -115,6 +116,36 @@ class TestElasticNetGenerator:
         assert report.ok
 
 
+class TestLeastSquaresTerm:
+    @pytest.mark.parametrize("ridge", [0.0, 0.3])
+    def test_value_with_residual_memo_equals_fresh_evaluation(self, rng, ridge):
+        A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
+        f = least_squares_term(A, b, ridge=ridge, beta=1.0)
+
+        def fresh(x):
+            r = A @ x - b
+            return 0.5 * float(r @ r) + (ridge * float(x @ x) if ridge else 0.0)
+
+        x, older = rng.standard_normal(40), rng.standard_normal(40)
+        f.gradient(older)
+        f.gradient(x)
+        assert f.value(x) == fresh(x)          # latest gradient point
+        assert f.value(older) == fresh(older)  # the one before
+        x[3] += 1.0                            # changed in place after the gradient
+        assert f.value(x) == fresh(x)
+        unrelated = rng.standard_normal(40)
+        assert f.value(unrelated) == fresh(unrelated)
+        f.gradient(unrelated)
+        f.gradient(x)
+        assert f.value(older) == fresh(older)  # evicted, recomputed
+
+    def test_gradient_is_unchanged(self, rng):
+        A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
+        f = least_squares_term(A, b, ridge=0.3, beta=1.0)
+        x = rng.standard_normal(40)
+        assert np.array_equal(f.gradient(x), A.T @ (A @ x - b) + 2.0 * 0.3 * x)
+
+
 class TestReferenceSolution:
     def test_toy_reference_is_exact(self):
         inst = gen_toy_quadratic(dim=9, seed=8)
@@ -134,6 +165,21 @@ class TestReferenceSolution:
         assert files[0].stat().st_mtime_ns == mtime  # loaded, not recomputed
         np.testing.assert_array_equal(ref1.x, ref2.x)
         np.testing.assert_array_equal(ref1.s, ref2.s)
+
+    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    def test_corrupt_cache_file_is_rebuilt(self, tmp_path, damage):
+        inst = gen_toy_quadratic(dim=7, seed=4)
+        ref1 = reference_solution(inst, iters=40, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("ref-*.npz")
+        good = path.read_bytes()
+        path.write_bytes(b"\x80not an npz archive" * 8 if damage == "garbage"
+                         else good[: len(good) // 2])
+        ref2 = reference_solution(inst, iters=40, cache_dir=tmp_path)
+        np.testing.assert_array_equal(ref1.x, ref2.x)
+        np.testing.assert_array_equal(ref1.s, ref2.s)
+        assert list(tmp_path.iterdir()) == [path]  # rebuilt in place, no temp file left
+        with np.load(path) as data:
+            np.testing.assert_array_equal(data["x"], ref1.x)
 
     def test_cache_distinguishes_iteration_count(self, tmp_path):
         inst = gen_toy_quadratic(dim=7, seed=4)
