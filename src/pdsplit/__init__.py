@@ -5,7 +5,7 @@ Library layout:
 - ``core``: oracle contracts (smooth / prox / conjugate-smooth terms) and the
   problem bundle.
 - ``prox``: closed-form proximal operators and the Moreau bridge to conjugates.
-- ``linops``: linear operators with adjoints and spectral-norm estimation.
+- ``linops``: linear operators with adjoints and certified bounds on ||A A^T||.
 - ``algorithms``: the splitting iterations, step-size validation, solve loop.
 - ``metrics``: the dual-metric geometry, residuals, gap and rate certificates.
 - ``problems``: reproducible benchmark generators and reference solutions.

@@ -1,6 +1,6 @@
 """Primal-dual splitting iterations, step-size validation, and the solve loop.
 
-PD3O, Chambolle-Pock, Condat-Vu and PDFP share one step, ``primal_dual_step``:
+PD3O, Chambolle-Pock, Condat-Vu, PDFP and PAPC share one step, ``primal_dual_step``:
 update the dual at the extrapolated point xbar, take a forward-backward primal
 step, and cache the gradient at the new point,
 
@@ -14,12 +14,13 @@ The schemes differ only in the next extrapolated point (``EXTRAPOLATIONS``):
     condat-vu          2 x+ - x
     chambolle-pock     2 x+ - x, for f = 0
     pdfp               prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
+    papc               the pd3o rule, for g = 0
 
 pd3o is the (z, s) form of the three-operator iteration and costs one g-prox,
 one conjugate prox, one gradient, one A and one A^T per pass; the reformulated
 rule gives the same iterates without z.  Only these two accept a smooth l*.
-AFBA (its gradient point depends on s+), PAPC (pd3o with g = 0) and Davis-Yin
-(A = I, gamma*delta = 1) keep their own steps.
+AFBA (its gradient point depends on s+) and Davis-Yin (A = I, gamma*delta = 1)
+keep their own steps.
 
 Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
 chosen step into a stopping rule, optional relaxation, and per-iteration
@@ -52,13 +53,15 @@ from .exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from .linops import LinearMap, estimate_norm_AAt
+from .linops import LinearMap
+from .linops import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
 from .metrics import (
     ConvergenceRecord,
     IterationRow,
     LagrangianProbe,
     MNormContext,
     combined_norm_sq,
+    euclidean_residual,
     fixed_point_from_primal_dual,
     fixed_point_residual,
     lagrangian,
@@ -117,8 +120,7 @@ class SolverState:
     ``z`` is always the argument of the latest g-prox and ``x`` its output
     (for the g-free scheme they coincide), so the pair (z, s) is comparable
     across algorithms.  ``xbar`` is the extrapolated point at which the next
-    dual update evaluates A; it is None for the schemes that do not carry one
-    (PAPC, Davis-Yin).
+    dual update evaluates A; it is None for Davis-Yin, which does not carry one.
     """
 
     z: np.ndarray
@@ -172,6 +174,7 @@ class Extrapolation:
     start: Callable
     smooth_lstar: bool = False  # accepts l* != 0
     needs_zero_f: bool = False
+    needs_zero_g: bool = False
 
 
 def _pd3o_point(spec, gamma, prev, nxt, ats):
@@ -197,6 +200,7 @@ EXTRAPOLATIONS: dict[AlgorithmId, Extrapolation] = {
     AlgorithmId.CONDAT_VU: Extrapolation(_reflection, _pd3o_point),
     AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, needs_zero_f=True),
     AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point),
+    AlgorithmId.PAPC: Extrapolation(_pd3o_point, _pd3o_point, needs_zero_g=True),
 }
 
 
@@ -244,6 +248,8 @@ def primal_dual_step(
     ext = EXTRAPOLATIONS[scheme]
     if ext.needs_zero_f and not spec.f.is_zero:
         raise AlgorithmMisuseError(f"the {scheme.value} step requires f = 0")
+    if ext.needs_zero_g and not spec.g.is_zero:
+        raise AlgorithmMisuseError(f"the {scheme.value} step requires g = 0")
     if not ext.smooth_lstar:
         _require_lstar_zero(spec, f"the {scheme.value} step")
     if state.xbar is None or state.grad_f is None:
@@ -272,25 +278,7 @@ pd3o_step_reformulated = partial(primal_dual_step, scheme=AlgorithmId.PD3O_REFOR
 chambolle_pock_step = partial(primal_dual_step, scheme=AlgorithmId.CHAMBOLLE_POCK)
 pdfp_step = partial(primal_dual_step, scheme=AlgorithmId.PDFP)
 condat_vu_step = partial(primal_dual_step, scheme=AlgorithmId.CONDAT_VU)
-
-
-def papc_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """Proximal step on h* interleaved with gradient steps, for g = 0 (x == z)."""
-    if not spec.g.is_zero:
-        raise AlgorithmMisuseError("papc_step requires g = 0")
-    _require_lstar_zero(spec, "papc_step")
-    gamma, delta = steps.gamma, steps.delta
-    x, s = state.x, state.s
-    grad = state.grad_f if state.grad_f is not None else spec.f.gradient(x)
-
-    u = x - gamma * grad - gamma * spec.A.adjoint_apply(s)
-    s_next = _ensure_finite(
-        prox_conjugate(spec.h, s + delta * spec.A.apply(u), delta), "s-update"
-    )
-    x_next = _ensure_finite(
-        x - gamma * grad - gamma * spec.A.adjoint_apply(s_next), "x-update"
-    )
-    return SolverState(z=x_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
+papc_step = partial(primal_dual_step, scheme=AlgorithmId.PAPC)
 
 
 def davis_yin_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
@@ -481,6 +469,9 @@ class _CountingMap(LinearMap):
     def is_identity(self) -> bool:
         return self._inner.is_identity
 
+    def norm_AAt_bound(self) -> float:
+        return self._inner.norm_AAt_bound()
+
     def _apply(self, x):
         self._counters.a_apply += 1
         return self._inner.apply(x)
@@ -537,7 +528,11 @@ def solve(
     drops below ``residual_tol`` or ``max_iters`` is reached.
 
     Step sizes are validated first; invalid ones raise ``StepSizeError``
-    unless ``force`` is set (the override is recorded in the metadata).  When
+    unless ``force`` is set (the override is recorded in the metadata).
+    ``norm_AAt`` defaults to ``spec.A.norm_AAt_bound()``.  The residual is
+    measured in the combined norm; past gamma*delta*||AA^T|| = 1, where the
+    dual metric is indefinite (a forced run), it falls back to the Euclidean
+    norm of the step and ``metadata["residual_metric"]`` says which.  When
     theta != 1 the relaxed update theta*T(z,s) + (1-theta)*(z,s) is applied
     (plain form only) and the cached prox/gradient are refreshed.
 
@@ -561,7 +556,7 @@ def solve(
     step_fn = STEP_FUNCTIONS[algorithm]
     beta = spec.beta
     if norm_AAt is None:
-        norm_AAt = estimate_norm_AAt(spec.A, tol=1e-6, max_iters=500_000)
+        norm_AAt = spec.A.norm_AAt_bound()
     verdict = validate_stepsizes(algorithm, steps, beta, norm_AAt)
     forced = False
     if not verdict.valid:
@@ -583,6 +578,10 @@ def solve(
             )
 
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
+    euclidean = steps.lam * norm_AAt > 1.0 and not ctx.semidefinite
+    if euclidean:
+        logger.warning("gamma*delta*||AA^T|| > 1: dual metric is indefinite; "
+                       "residuals use the Euclidean norm")
     if ctx.semidefinite:
         if spec.lstar.is_zero:
             logger.warning(
@@ -611,8 +610,10 @@ def solve(
         )
         if gap_enabled:
             gap_probe = LagrangianProbe(ref_x, ref_s)
-            z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
-            gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z, ref_s - state.s)
+            if not euclidean:
+                z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
+                gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z,
+                                                     ref_s - state.s)
 
     x_sum = state.x.copy()
     s_sum = np.zeros(spec.s_dim)
@@ -629,7 +630,8 @@ def solve(
         except NumericalFailureError as err:
             err.iteration = k
             raise
-        res = fixed_point_residual(ctx, state, nxt)
+        res = (euclidean_residual(state, nxt) if euclidean
+               else fixed_point_residual(ctx, state, nxt))
         s_sum += nxt.s
 
         stop = res <= residual_tol or k == max_iters - 1
@@ -686,6 +688,7 @@ def solve(
             evaluate_objective(spec, state.x) if spec.lstar.is_zero else math.nan
         ),
         "final_residual": res,
+        "residual_metric": "euclidean" if euclidean else "M",
         "log_every": log_every,
         "oracle_calls": counters.as_dict(),
         "problem": dict(descriptor or {}),

@@ -224,7 +224,8 @@ def cmd_run(cfg: RunConfig) -> int:
           f"iterations={record.metadata['iterations']} "
           f"objective={record.metadata['final_objective']:.12g} "
           f"residual={record.metadata['final_residual']:.6g} "
-          f"stop_reason={record.metadata['stop_reason']}")
+          f"stop_reason={record.metadata['stop_reason']} "
+          f"residual_metric={record.metadata['residual_metric']}")
     print(f"wrote {out}")
     return EXIT_OK
 

@@ -1,15 +1,36 @@
-"""Linear operators with adjoints, plus spectral-norm estimation.
+"""Linear operators with adjoints and certified bounds on ||A A^T||.
 
 Every operator knows its input/output dimensions and exposes ``apply`` and
-``adjoint_apply``.  ``estimate_norm_AAt`` runs power iteration on s -> A(A^T s)
-to produce the operator-norm bound that the step-size conditions consume.
+``adjoint_apply``.  ``norm_AAt_bound`` returns an upper bound on ||A A^T||,
+rounding included, which is the number the step-size conditions consume:
+closed forms for the structured operators, an eigensolve of the smaller Gram
+matrix for the others.  ``estimate_norm_AAt`` is a plain power-iteration
+estimate of the same norm; it may fall below it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .exceptions import DimensionMismatchError, NormEstimateError
+
+_MACHINE_EPS = float(np.finfo(float).eps)
+
+
+def _gram_bound(m: np.ndarray) -> float:
+    """Upper bound on ||M M^T|| = sigma_max(M)^2 from the smaller Gram matrix.
+
+    For M of shape (n, p) with k = min(n, p) and K = max(n, p), the computed
+    Gram matrix is within K*eps*||M||_F^2 of the exact one in the 2-norm, and a
+    backward-stable symmetric eigensolve adds at most a small multiple of
+    k*eps*||G||; the slack (K + k)*eps*||M||_F^2 covers both.  ||M||_F^2 is the
+    trace of the Gram matrix.
+    """
+    gram = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    top = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+    return top + sum(m.shape) * _MACHINE_EPS * float(np.trace(gram))
 
 
 class LinearMap:
@@ -24,6 +45,21 @@ class LinearMap:
     @property
     def is_identity(self) -> bool:
         return False
+
+    def norm_AAt_bound(self) -> float:
+        """An upper bound on ||A A^T||, rounding included.
+
+        This generic rule applies the operator to the k = min(in_dim, out_dim)
+        unit vectors of its smaller side, which gives the whole matrix, and
+        bounds the top eigenvalue of its k-by-k Gram matrix.  It costs k
+        operator calls and in_dim*out_dim floats; operators with a closed form
+        or an explicit matrix override it.
+        """
+        if self.in_dim <= self.out_dim:
+            m = np.column_stack([self.apply(e) for e in np.eye(self.in_dim)])
+        else:
+            m = np.vstack([self.adjoint_apply(e) for e in np.eye(self.out_dim)])
+        return _gram_bound(m)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         self._check(x, self.in_dim, "apply")
@@ -58,6 +94,9 @@ class DenseMatrixOp(LinearMap):
         super().__init__(m.shape[1], m.shape[0])
         self.matrix = m
 
+    def norm_AAt_bound(self) -> float:
+        return _gram_bound(self.matrix)
+
     def _apply(self, x):
         return self.matrix @ x
 
@@ -75,6 +114,9 @@ class IdentityOp(LinearMap):
     def is_identity(self) -> bool:
         return True
 
+    def norm_AAt_bound(self) -> float:
+        return 1.0
+
     def _apply(self, x):
         return x.copy()
 
@@ -89,6 +131,10 @@ class ScaledIdentityOp(LinearMap):
         super().__init__(dim, dim)
         self.scale = float(scale)
 
+    def norm_AAt_bound(self) -> float:
+        """scale^2, rounded up."""
+        return math.nextafter(self.scale * self.scale, math.inf)
+
     def _apply(self, x):
         return self.scale * x
 
@@ -101,6 +147,9 @@ class ZeroOp(LinearMap):
 
     def __init__(self, in_dim: int, out_dim: int):
         super().__init__(in_dim, out_dim)
+
+    def norm_AAt_bound(self) -> float:
+        return 0.0
 
     def _apply(self, x):
         return np.zeros(self.out_dim)
@@ -120,6 +169,12 @@ class DifferenceOp(LinearMap):
         if p < 2:
             raise ValueError("DifferenceOp needs p >= 2")
         super().__init__(p, p - 1)
+
+    def norm_AAt_bound(self) -> float:
+        """The top eigenvalue 4 sin^2(pi (p-1) / (2p)) of D D^T, with 1 + 8 eps
+        covering the rounding of its evaluation."""
+        p = self.in_dim
+        return 4.0 * math.sin(math.pi * (p - 1) / (2 * p)) ** 2 * (1.0 + 8.0 * _MACHINE_EPS)
 
     def _apply(self, x):
         return x[1:] - x[:-1]
@@ -142,9 +197,10 @@ def estimate_norm_AAt(
 
     Iterates s -> A(A^T s) from a seeded random unit vector and stops once two
     successive Rayleigh quotients differ by less than ``tol`` times the current
-    one.  The returned value is inflated by a factor (1 + 10 * tol): step-size
-    conditions need an upper bound, and a slight overestimate preserves the
-    convergence guarantees where a slight underestimate would void them.
+    one, and returns the last quotient times (1 + 10 * tol).  This is an
+    estimate, not a bound: when the top eigenvalues are close together the
+    stop rule fires well below ||A A^T||.  Step-size checks use
+    ``LinearMap.norm_AAt_bound`` instead.
 
     Deterministic for a fixed ``rng_seed``.  Raises ``NormEstimateError``
     (carrying the last estimate) when the tolerance is not met in

@@ -86,6 +86,13 @@ def fixed_point_residual(ctx: MNormContext, state, nxt) -> float:
     return combined_norm(ctx, nxt.z - state.z, nxt.s - state.s)
 
 
+def euclidean_residual(state, nxt) -> float:
+    """||T(z, s) - (z, s)|| in the Euclidean norm, for steps past
+    gamma*delta*||A A^T|| = 1 where M is indefinite."""
+    dz, ds = nxt.z - state.z, nxt.s - state.s
+    return math.sqrt(float(dz @ dz) + float(ds @ ds))
+
+
 @dataclass
 class LagrangianProbe:
     """A fixed pair (x, s) whose terms of L ``lagrangian`` computes only once.

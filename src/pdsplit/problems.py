@@ -20,13 +20,8 @@ import numpy as np
 
 from .algorithms import AlgorithmId, StepSizes, solve
 from .core import INF, ProblemSpec, SmoothTerm, zero_conjugate_smooth
-from .linops import (
-    DenseMatrixOp,
-    DifferenceOp,
-    IdentityOp,
-    ScaledIdentityOp,
-    estimate_norm_AAt,
-)
+from .linops import DenseMatrixOp, DifferenceOp, IdentityOp, ScaledIdentityOp
+from .linops import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
 from .prox import l1, squared_l2, zero_prox
 
 CACHE_ENV_VAR = "PDSPLIT_CACHE_DIR"
@@ -45,9 +40,9 @@ def quadratic_distance_term(c) -> SmoothTerm:
 def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> SmoothTerm:
     """f(x) = ||A x - b||^2 / 2 + ridge * ||x||^2, with a declared beta.
 
-    When ``beta`` is omitted it is computed as 1 / (||A^T A|| + 2*ridge) from
-    a safety-inflated power-iteration estimate, which keeps the declared
-    cocoercivity valid.
+    When ``beta`` is omitted it is 1 / (B + 2*ridge), with B the certified
+    upper bound on ||A^T A|| from ``DenseMatrixOp.norm_AAt_bound``, so the
+    declared cocoercivity holds.
 
     The gradient keeps a copy of its two latest points with their residuals
     r = A x - b, and ``value`` reuses r at a point exactly equal to one of
@@ -58,7 +53,7 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     if beta is None:
-        lip = estimate_norm_AAt(DenseMatrixOp(A), tol=1e-9) + 2.0 * ridge
+        lip = DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge
         beta = 1.0 / lip
     # ((x copy, residual), ...) newest first; replaced whole, never edited
     memo: tuple = ()
@@ -167,15 +162,15 @@ def gen_fused_lasso(
     noise_var: float = 0.01,
     mu1: float = 20.0,
     mu2: float = 200.0,
-    norm_tol: float = 1e-7,
 ) -> FusedLassoInstance:
     """Least squares + l1 on coefficients + l1 on consecutive differences.
 
     The design matrix is iid standard Gaussian.  The ground truth is piecewise
     constant over 20 equal blocks with values drawn from {-1, 0, 1} (zero with
     probability 1/2, each sign 1/4), and b = A x_true + Gaussian noise of the
-    given variance.  The declared beta is the reciprocal of a safety-inflated
-    power-iteration estimate of ||A^T A||.
+    given variance.  The declared beta is the reciprocal of a certified upper
+    bound on ||A^T A||, and ``norm_AAt`` is the closed-form ||D D^T|| of the
+    difference operator, rounded up (``LinearMap.norm_AAt_bound``).
     """
     if n < 2 or p < 2:
         raise ValueError("need n, p >= 2")
@@ -192,7 +187,7 @@ def gen_fused_lasso(
 
     f = least_squares_term(A, b)
     D = DifferenceOp(p)
-    norm_D = estimate_norm_AAt(D, tol=norm_tol, max_iters=400_000)
+    norm_D = D.norm_AAt_bound()
     descriptor = {
         "kind": "fused-lasso", "n": n, "p": p, "seed": seed,
         "noise_var": noise_var, "mu1": mu1, "mu2": mu2,

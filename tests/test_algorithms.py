@@ -518,9 +518,11 @@ class TestSolve:
         # (g-prox, h-prox, gradient, A^T) calls per iteration
         expected = {"pd3o": (1, 1, 1, 1), "pd3o-reformulated": (1, 1, 1, 1),
                     "condat-vu": (1, 1, 1, 1), "afba": (1, 1, 1, 2),
-                    "pdfp": (2, 1, 1, 1)}
+                    "pdfp": (2, 1, 1, 1), "papc": (1, 1, 1, 1)}
         for algorithm, (gp, hp, fg, at) in expected.items():
-            ispec, counters = instrument(inst.spec)
+            # papc needs g = 0; its g-prox is the zero prox, a copy
+            spec = replace(inst.spec, g=zero_prox()) if algorithm == "papc" else inst.spec
+            ispec, counters = instrument(spec)
             state = initial_state(ispec, steps, algorithm)
             before = counters.as_dict()
             n = 40
@@ -531,6 +533,30 @@ class TestSolve:
             assert after["h_prox"] - before["h_prox"] == hp * n, algorithm
             assert after["f_grad"] - before["f_grad"] == fg * n, algorithm
             assert after["a_adjoint"] - before["a_adjoint"] == at * n, algorithm
+
+    def test_forced_run_past_metric_boundary_uses_euclidean_residual(
+            self, small_fused_lasso):
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.5)  # t = 0.5 * ||DD^T|| > 1
+        steps_seen = []
+        rec = solve(inst.spec, "pd3o", steps, max_iters=30, norm_AAt=inst.norm_AAt,
+                    force=True, hooks=(lambda k, st, nxt, res: steps_seen.append((st, nxt)),))
+        assert rec.metadata["forced"] is True
+        assert rec.metadata["residual_metric"] == "euclidean"
+        st, nxt = steps_seen[-1]
+        assert rec.metadata["final_residual"] == math.sqrt(
+            float((nxt.z - st.z) @ (nxt.z - st.z)) + float((nxt.s - st.s) @ (nxt.s - st.s)))
+        valid = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                      max_iters=5, norm_AAt=inst.norm_AAt)
+        assert valid.metadata["residual_metric"] == "M"
+
+    def test_default_norm_is_the_operator_bound(self, small_fused_lasso):
+        inst = small_fused_lasso
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                    max_iters=3)
+        assert rec.metadata["norm_AAt"] == inst.spec.A.norm_AAt_bound() == inst.norm_AAt
+        ispec, _ = instrument(inst.spec)
+        assert ispec.A.norm_AAt_bound() == inst.norm_AAt
 
     def test_numerical_failure_identifies_substep(self):
         broken = ProxTerm(value=lambda x: 0.0,

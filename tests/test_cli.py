@@ -75,6 +75,14 @@ class TestValidateCommand:
         assert code == EXIT_INADMISSIBLE
         assert out.count("rejected") == 4
 
+    def test_lambda_just_above_one_over_norm_is_rejected(self, capsys):
+        # ||DD^T|| = 3.99996 at p = 500, so t = 0.25001 * ||DD^T|| = 1.00003
+        code = main(self.BASE[:-2] + ["--lambda", "0.25001", "--gamma-factor", "1.0"])
+        out = capsys.readouterr().out
+        assert code == EXIT_INADMISSIBLE
+        assert "pd3o: rejected" in out
+        assert "pdfp: rejected" in out
+
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
         bad.write_text("n=oops\n")
@@ -120,6 +128,19 @@ class TestRunCommand:
         assert main(args + ["--force"]) == EXIT_OK
         meta = json.loads((tmp_path / "cv.csv.meta.json").read_text())
         assert meta["forced"] is True
+
+    def test_forced_run_past_the_metric_boundary(self, tmp_path, capsys):
+        # t = 0.5 * ||DD^T|| is about 2: M is indefinite, so the residual is Euclidean
+        args = ["run", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                "--max-iters", "50"]
+        for lam, metric in (("0.125", "M"), ("0.5", "euclidean")):
+            out = tmp_path / f"run-{lam}.csv"
+            code = main(args + ["--force", "--lambda", lam, "--output", str(out)])
+            assert code == EXIT_OK
+            meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+            assert meta["residual_metric"] == metric
+            assert f"residual_metric={metric}" in capsys.readouterr().out
+            assert len(read_csv(out)) > 1
 
     def test_log_every_always_keeps_head_and_tail(self, tmp_path):
         out = tmp_path / "thin.csv"

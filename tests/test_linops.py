@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from pdsplit.linops import (
     DenseMatrixOp,
     DifferenceOp,
     IdentityOp,
+    LinearMap,
     ScaledIdentityOp,
     ZeroOp,
     estimate_norm_AAt,
@@ -127,3 +131,77 @@ class TestNormEstimate:
     def test_null_space_of_difference(self):
         d = DifferenceOp(50)
         np.testing.assert_array_equal(d.apply(np.full(50, 3.7)), np.zeros(49))
+
+
+# --- certified bounds: checked on the sign, against exact values ---------------
+
+PI_BELOW = Fraction(314159265358979323846, 10**20)
+
+
+def difference_norm_above(p: int) -> Fraction:
+    """A rational number at or above ||D D^T|| = 2 + 2 cos(pi/p).
+
+    cos is decreasing on [0, pi], so cos(pi/p) <= cos(x) for x = PI_BELOW/p,
+    and a Taylor sum of cos that ends on a positive term lies above cos.  The
+    excess is below 1e-20.
+    """
+    x = PI_BELOW / p
+    cos_above = sum(Fraction((-1) ** k) * x ** (2 * k) / factorial(2 * k)
+                    for k in range(41))
+    return 2 + 2 * cos_above
+
+
+def clustered_matrix(n: int = 32) -> np.ndarray:
+    """A = H diag(d) H^T for the n-by-n Sylvester Hadamard matrix H.
+
+    Every entry is a sum of dyadic numbers and exact in floating point, and
+    A A^T = n^2 H diag(d^2) H^T / n, so ||A A^T|| = n^2 exactly.  The four top
+    singular values lie within 3 * 2^-20 of each other; power iteration at
+    tol=1e-9 stops 1.5e-6 (relative) below the norm on this matrix.
+    """
+    h = np.array([[1.0]])
+    while h.shape[0] < n:
+        h = np.block([[h, h], [h, -h]])
+    d = np.full(n, 0.5)
+    d[:4] = 1.0 - np.arange(4) * 2.0**-20
+    return (h * d) @ h.T
+
+
+class MatrixFree(LinearMap):
+    """A matrix seen only through apply/adjoint_apply: the generic bound."""
+
+    def __init__(self, m):
+        super().__init__(m.shape[1], m.shape[0])
+        self._m = m
+
+    def _apply(self, x):
+        return self._m @ x
+
+    def _adjoint(self, s):
+        return self._m.T @ s
+
+
+class TestNormBound:
+    @pytest.mark.parametrize("p", [2, 3, 500, 10000])
+    def test_difference_closed_form_is_above(self, p):
+        assert Fraction(DifferenceOp(p).norm_AAt_bound()) >= difference_norm_above(p)
+
+    def test_difference_closed_form_is_tight(self):
+        bound = DifferenceOp(500).norm_AAt_bound()
+        assert float(bound - difference_norm_above(500)) <= 1e-14 * bound
+
+    def test_trivial_operators(self):
+        assert IdentityOp(9).norm_AAt_bound() == 1.0
+        assert ZeroOp(3, 4).norm_AAt_bound() == 0.0
+        for scale in (0.1, 2.5, 1.0 / 3.0, 7.3e-3, -1.7):
+            op = ScaledIdentityOp(6, scale)
+            assert Fraction(op.norm_AAt_bound()) >= Fraction(scale) ** 2
+
+    def test_dense_clustered_spectrum(self):
+        a = clustered_matrix()
+        n = a.shape[0]
+        for m, exact in ((a, n * n), (np.hstack([a, a]), 2 * n * n),
+                         (np.vstack([a, a]), 2 * n * n)):
+            assert DenseMatrixOp(m).norm_AAt_bound() >= exact
+            assert MatrixFree(m).norm_AAt_bound() >= exact
+            assert DenseMatrixOp(m).norm_AAt_bound() <= exact * (1.0 + 1e-12)

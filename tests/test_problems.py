@@ -64,6 +64,10 @@ class TestFusedLassoGenerator:
                                 max_iters=500_000)
         assert abs(est - exact) <= 1e-6 * exact
 
+    def test_declared_beta_is_below_one_over_sigma_max_squared(self, desk_fused_lasso):
+        sigma_max = np.linalg.norm(desk_fused_lasso.A, 2)
+        assert 1.0 / desk_fused_lasso.beta >= sigma_max**2
+
     def test_rejects_degenerate_sizes(self):
         with pytest.raises(ValueError):
             gen_fused_lasso(n=1, p=10)
