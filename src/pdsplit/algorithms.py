@@ -41,10 +41,7 @@ import numpy as np
 
 from .core import (
     INF,
-    ConjugateSmoothTerm,
     ProblemSpec,
-    ProxTerm,
-    SmoothTerm,
     as_vector,
     evaluate_objective,
 )
@@ -146,7 +143,10 @@ class SolverState:
 
 
 def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
-    if not np.all(np.isfinite(v)):
+    # A NaN or inf entry makes v.v non-finite; only then, or on a finite
+    # overflow of the sum, is the exact entrywise scan run.  (np.vdot, unlike
+    # @, does not warn on that overflow.)
+    if not math.isfinite(np.vdot(v, v)) and not np.all(np.isfinite(v)):
         raise NumericalFailureError(
             f"non-finite values produced in {sub_step}", sub_step=sub_step
         )
@@ -415,6 +415,11 @@ def validate_stepsizes(
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
+def theta_cap(gamma: float, beta: float) -> float:
+    """The open upper end of the admissible relaxation interval (0, 2 - gamma/(2 beta))."""
+    return 2.0 if beta == INF else 2.0 - gamma / (2.0 * beta)
+
+
 # --- optimality / fixed-point checks -------------------------------------------
 
 
@@ -491,15 +496,10 @@ def instrument(spec: ProblemSpec) -> tuple[ProblemSpec, OracleCounters]:
             return fn(*args)
         return wrapped
 
-    f = SmoothTerm(value=spec.f.value, gradient=count("f_grad", spec.f.gradient),
-                   beta=spec.f.beta, is_zero=spec.f.is_zero)
-    g = ProxTerm(value=spec.g.value, prox=count("g_prox", spec.g.prox),
-                 conjugate_value=spec.g.conjugate_value, is_zero=spec.g.is_zero)
-    h = ProxTerm(value=spec.h.value, prox=count("h_prox", spec.h.prox),
-                 conjugate_value=spec.h.conjugate_value, is_zero=spec.h.is_zero)
-    lstar = ConjugateSmoothTerm(gradient=count("lstar_grad", spec.lstar.gradient),
-                                beta_l=spec.lstar.beta_l, is_zero=spec.lstar.is_zero,
-                                value=spec.lstar.value)
+    f = replace(spec.f, gradient=count("f_grad", spec.f.gradient))
+    g = replace(spec.g, prox=count("g_prox", spec.g.prox))
+    h = replace(spec.h, prox=count("h_prox", spec.h.prox))
+    lstar = replace(spec.lstar, gradient=count("lstar_grad", spec.lstar.gradient))
     wrapped = ProblemSpec(f=f, g=g, h=h, lstar=lstar,
                           A=_CountingMap(spec.A, counters))
     return wrapped, counters
@@ -539,7 +539,12 @@ def solve(
     ``reference``, when given as a pair (x_ref, s_ref), populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic
     gap column evaluated at that probe; the probe's own terms of the
-    Lagrangian are computed on the first gap row and reused after.
+    Lagrangian are computed on the first gap row and reused after.  When f
+    exposes a residual (``SmoothTerm.residual``) and the scheme's state
+    carries the gradient at its own x (every scheme but AFBA), f at the
+    running average of x comes from the running mean of the residuals the
+    gradient formed, so a gap row applies no data matvec; the gap column then
+    agrees with a fresh evaluation to roundoff rather than bit for bit.
     ``log_every`` thins the recorded rows, but iterations 0-10 and the final
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
@@ -571,11 +576,9 @@ def solve(
     if theta != 1.0:
         if algorithm is not AlgorithmId.PD3O:
             raise AlgorithmMisuseError("relaxation (theta != 1) is supported for pd3o only")
-        theta_cap = 2.0 if beta == INF else 2.0 - steps.gamma / (2.0 * beta)
-        if not theta < theta_cap:
-            raise StepSizeError(
-                f"theta = {theta} must lie in (0, {theta_cap:.6g}) for these steps"
-            )
+        cap = theta_cap(steps.gamma, beta)
+        if not theta < cap:
+            raise StepSizeError(f"theta = {theta} must lie in (0, {cap:.6g}) for these steps")
 
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
     euclidean = steps.lam * norm_AAt > 1.0 and not ctx.semidefinite
@@ -617,6 +620,12 @@ def solve(
 
     x_sum = state.x.copy()
     s_sum = np.zeros(spec.s_dim)
+    # f(xbar) from the mean of the residuals the gradient formed at each x_j,
+    # when f exposes them and the state carries the gradient at its own x
+    # (AFBA's gradient point is not its x, so its lookups would miss)
+    r_sum = None
+    if gap_probe is not None and spec.f.residual is not None and state.grad_f is not None:
+        r_sum = spec.f.residual(state.x).copy()
     rows: list[IterationRow] = []
     t_start = time.perf_counter()
     stop_reason = "max_iters"
@@ -638,12 +647,15 @@ def solve(
         log_this = stop or k <= 10 or (log_every > 0 and k % log_every == 0)
         if log_this:
             # objective values are only defined for the l = indicator-of-0 case
-            obj = evaluate_objective(spec, state.x) if spec.lstar.is_zero else math.nan
+            obj = (evaluate_objective(spec, state.x, screened=True) if spec.lstar.is_zero
+                   else math.nan)
             dist = None if ref_x is None else float(np.linalg.norm(state.x - ref_x))
             gap = None
             if gap_probe is not None:
-                gap = (lagrangian(spec, x_sum / (k + 1), ref_s, gap_probe)
-                       - lagrangian(spec, ref_x, s_sum / (k + 1), gap_probe))
+                r_bar = None if r_sum is None else r_sum / (k + 1)
+                gap = (lagrangian(spec, x_sum / (k + 1), ref_s, gap_probe,
+                                  residual=r_bar, screened=True)
+                       - lagrangian(spec, ref_x, s_sum / (k + 1), gap_probe, screened=True))
             rows.append(IterationRow(
                 iter=k, objective=obj, residual_im=res, dist_to_ref=dist, gap=gap,
                 wall_time_s=time.perf_counter() - t_start,
@@ -665,6 +677,8 @@ def solve(
         else:
             state = nxt
         x_sum += state.x
+        if r_sum is not None:
+            r_sum += spec.f.residual(state.x)
 
         if stop:
             if res <= residual_tol:

@@ -7,7 +7,11 @@ deterministic functions of their arguments, so trajectories are bitwise
 reproducible, and every term is safe to share between solver runs.  A term
 may keep a private memo that never changes a result: the least-squares term
 keeps the residual A x - b of its two latest gradient points for ``value``
-to reuse (``problems.least_squares_term``).
+to reuse (``problems.least_squares_term``).  A smooth term whose value is a
+function of an affine residual r = A x - b and of x may expose both
+(``SmoothTerm.residual`` and ``value_from_residual``); ``solve`` then
+evaluates f at the running average of its iterates from the average of their
+residuals instead of applying the data matrix again.
 """
 
 from __future__ import annotations
@@ -44,12 +48,19 @@ class SmoothTerm:
     <x1-x2, grad(x1)-grad(x2)> >= beta * ||grad(x1)-grad(x2)||^2,
     equivalently 1/beta is a Lipschitz constant of the gradient.  It is
     declared by the caller, not estimated.
+
+    ``residual`` and ``value_from_residual``, when present, split the value
+    as f(x) = value_from_residual(residual(x), x) with residual affine in x,
+    so the mean of residuals is the residual of the mean.  ``residual`` may
+    return a memoized array, which callers must not modify.
     """
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
     beta: float
     is_zero: bool = False
+    residual: Callable[[np.ndarray], np.ndarray] | None = None
+    value_from_residual: Callable[[np.ndarray, np.ndarray], float] | None = None
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -134,18 +145,20 @@ class ProblemSpec:
         return self.f.beta
 
 
-def evaluate_objective(spec: ProblemSpec, x) -> float:
+def evaluate_objective(spec: ProblemSpec, x, *, screened: bool = False) -> float:
     """Objective f(x) + g(x) + h(A x); may be +inf if an indicator is violated.
 
     Only defined when l is the indicator of the origin (the infimal
     convolution then collapses to h); anything else raises
-    ``UnsupportedObjectiveError``.
+    ``UnsupportedObjectiveError``.  ``screened`` skips the ``as_vector``
+    check, for a solver's own iterates, which its step has already checked.
     """
     if not spec.lstar.is_zero:
         raise UnsupportedObjectiveError(
             "objective values are only computed when l is the indicator of 0"
         )
-    x = as_vector(x, spec.x_dim)
+    if not screened:
+        x = as_vector(x, spec.x_dim)
     total = spec.f.value(x) + spec.g.value(x)
     if total == INF:
         return INF

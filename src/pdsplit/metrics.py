@@ -112,8 +112,8 @@ def _dual_terms(spec: ProblemSpec, s) -> tuple:
     return spec.h.conjugate_value(s), (0.0 if spec.lstar.is_zero else spec.lstar.value(s))
 
 
-def _primal_terms(spec: ProblemSpec, x) -> tuple:
-    primal = spec.f.value(x) + spec.g.value(x)
+def _primal_terms(spec: ProblemSpec, x, f_x=None) -> tuple:
+    primal = (spec.f.value(x) if f_x is None else f_x) + spec.g.value(x)
     return primal, (None if primal == INF else spec.A.apply(x))
 
 
@@ -126,22 +126,32 @@ def _terms(probe, name: str, compute, spec: ProblemSpec, v) -> tuple:
     return probe.terms[name]
 
 
-def lagrangian(spec: ProblemSpec, x, s, probe: LagrangianProbe | None = None) -> float:
+def lagrangian(spec: ProblemSpec, x, s, probe: LagrangianProbe | None = None, *,
+               residual: np.ndarray | None = None, screened: bool = False) -> float:
     """L(x, s) = f(x) + g(x) + <A x, s> - h*(s) - l*(s); may be +-inf.
 
     With ``probe``, the terms of an argument that is the probe's own x or s
     come from its cache (see ``LagrangianProbe``); the value is unchanged.
+    ``residual`` is f's residual at x (``SmoothTerm.residual``) when the
+    caller already has it, for example as a mean of residuals; f(x) is then
+    ``f.value_from_residual(residual, x)`` and costs no data matvec, and it
+    agrees with a fresh evaluation to roundoff.  ``screened`` skips the
+    ``as_vector`` checks, for arrays a solver has already checked.
     """
     if spec.h.conjugate_value is None:
         raise UnsupportedMetricError("h has no conjugate value oracle")
     if spec.lstar.value is None and not spec.lstar.is_zero:
         raise UnsupportedMetricError("l* has no value oracle")
-    x = as_vector(x, spec.x_dim)
-    s = as_vector(s, spec.s_dim, name="s")
+    if not screened:
+        x = as_vector(x, spec.x_dim)
+        s = as_vector(s, spec.s_dim, name="s")
     hstar, lstar = _terms(probe, "s", _dual_terms, spec, s)
     if hstar == INF or lstar == INF:
         return -INF
-    primal, ax = _terms(probe, "x", _primal_terms, spec, x)
+    if residual is None:
+        primal, ax = _terms(probe, "x", _primal_terms, spec, x)
+    else:
+        primal, ax = _primal_terms(spec, x, spec.f.value_from_residual(residual, x))
     if primal == INF:
         return INF
     return primal + float(ax @ s) - hstar - lstar

@@ -45,10 +45,13 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
     declared cocoercivity holds.
 
     The gradient keeps a copy of its two latest points with their residuals
-    r = A x - b, and ``value`` reuses r at a point exactly equal to one of
-    them, so the objective at an iterate whose gradient a solver already took
-    costs no matvec.  The reused r is the array the same expression produced
-    from the same input, so values are bit-identical to a fresh evaluation.
+    r = A x - b.  ``residual`` returns the stored r at a point exactly equal
+    to one of them and computes A x - b otherwise, and ``value`` is
+    ``value_from_residual(residual(x), x)``, so the objective at an iterate
+    whose gradient a solver already took costs no matvec.  The reused r is
+    the array the same expression produced from the same input, so values are
+    bit-identical to a fresh evaluation.  ``solve`` sums these residuals to
+    evaluate f at the running average of its iterates.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -64,8 +67,7 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
                 return r
         return A @ x - b
 
-    def value(x):
-        r = residual(x)
+    def value_from_residual(r, x):
         out = 0.5 * float(r @ r)
         if ridge:
             out += ridge * float(x @ x)
@@ -80,7 +82,9 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
             g = g + 2.0 * ridge * x
         return g
 
-    return SmoothTerm(value=value, gradient=gradient, beta=beta)
+    return SmoothTerm(value=lambda x: value_from_residual(residual(x), x),
+                      gradient=gradient, beta=beta, residual=residual,
+                      value_from_residual=value_from_residual)
 
 
 def _instance_key(descriptor: dict) -> str:
@@ -212,11 +216,12 @@ def gen_elastic_net_strongly_convex(
 
     f = ||A x - b||^2 / 2 + mu2 * ||x||^2 is strongly convex with
     tau_f = lambda_min(A^T A) + 2*mu2 (dense eigensolve; this generator is for
-    desk scale), g = mu1 * ||.||_1, and h = ||.||^2 / 2 composed with a_scale * I
-    so the dual block contracts too.  The moduli needed by the linear-rate
-    factor are attached.  g has a Lipschitz gradient only when mu1 = 0; for
-    mu1 > 0 the declared L_g is infinite and no linear-rate certificate is
-    claimed.
+    desk scale) and the beta of ``least_squares_term``, the reciprocal of a
+    certified bound on ||A^T A|| plus 2*mu2.  g = mu1 * ||.||_1, and
+    h = ||.||^2 / 2 composed with a_scale * I so the dual block contracts too.
+    The moduli needed by the linear-rate factor are attached.  g has a
+    Lipschitz gradient only when mu1 = 0; for mu1 > 0 the declared L_g is
+    infinite and no linear-rate certificate is claimed.
     """
     if n < 2 or p < 2:
         raise ValueError("need n, p >= 2")
@@ -227,11 +232,8 @@ def gen_elastic_net_strongly_convex(
     x_true = rng.standard_normal(p)
     b = A @ x_true + 0.1 * rng.standard_normal(n)
 
-    eigs = np.linalg.eigvalsh(A.T @ A)
-    lam_min = max(float(eigs[0]), 0.0)
-    lam_max = float(eigs[-1])
-    beta = 1.0 / (lam_max * (1.0 + 1e-12) + 2.0 * mu2)
-    f = least_squares_term(A, b, ridge=mu2, beta=beta)
+    lam_min = max(float(np.linalg.eigvalsh(A.T @ A)[0]), 0.0)
+    f = least_squares_term(A, b, ridge=mu2)
     g = l1(mu1) if mu1 > 0 else zero_prox()
     descriptor = {
         "kind": "elastic-net", "n": n, "p": p, "seed": seed,
@@ -242,7 +244,7 @@ def gen_elastic_net_strongly_convex(
         A=ScaledIdentityOp(p, a_scale),
     )
     return ElasticNetInstance(
-        spec=spec, beta=beta, norm_AAt=a_scale**2, descriptor=descriptor,
+        spec=spec, beta=f.beta, norm_AAt=a_scale**2, descriptor=descriptor,
         instance_key=_instance_key(descriptor), A=A, b=b, mu1=mu1, mu2=mu2,
         a_scale=a_scale, seed=seed,
         tau_f=lam_min + 2.0 * mu2, tau_g=0.0, tau_lstar=0.0,

@@ -617,33 +617,115 @@ class CountingMap(LinearMap):
         return self.inner.adjoint_apply(s)
 
 
+U = np.finfo(float).eps / 2  # unit roundoff
+
+
+def gap_by_linearity_bound(A, b, xs, xbar, terms, gap):
+    """Roundoff bound on |gap by linearity - fresh gap| at one row.
+
+    Both gaps share xbar and every term but f(xbar).  The running path takes
+    f from the mean of the residuals r_j = A x_j - b of the k+1 iterates; the
+    fresh path from A xbar - b.  To first order in U, entrywise, each of the
+    two residuals is within (p + m + 1) U R of A mean(x_j) - b, with m = k+1
+    and R = |A| mean(|x_j|) + |b| (p-term products and the subtraction of b
+    in each r_j or in A xbar - b; m-1 additions and one division in the mean
+    of r_j or of x_j).  So they differ by at most dr = 2 (p + m + 1) U R, and
+    the halved squared norms by dr . (|r| + dr/2), plus the n-term rounding
+    of both dot products.  Each Lagrangian then rounds four additions of its
+    ``terms``, and each gap one subtraction.
+    """
+    n, p = A.shape
+    m = len(xs)
+    R = np.abs(A) @ np.mean(np.abs(xs), axis=0) + np.abs(b)
+    r = np.abs(A @ xbar - b)
+    dr = 2 * (p + m + 1) * U * R
+    df = dr @ (r + dr / 2) + n * U * (r + dr) @ (r + dr)
+    return df + 8 * U * sum(abs(t) for t in terms) + 2 * U * abs(gap)
+
+
+def poisoned(fn, first_bad_call: int, value: float):
+    """``fn`` whose output gets one ``value`` entry from the given call on."""
+    calls = [0]
+
+    def wrapped(*args):
+        calls[0] += 1
+        out = np.array(fn(*args), dtype=float)
+        if calls[0] >= first_bad_call:
+            out[1] = value
+        return out
+
+    return wrapped
+
+
 class TestLoggedRows:
     """Logged rows reuse the gradient's residual and the gap probe's constant terms."""
 
-    def _gap_solve(self, inst, ref, spec=None, hooks=()):
-        return solve(spec or inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+    def _gap_solve(self, inst, ref, spec=None, hooks=(), algorithm="pd3o", gamma=None):
+        steps = StepSizes.from_lambda(gamma or inst.beta, 0.125)
+        return solve(spec or inst.spec, algorithm, steps,
                      max_iters=60, residual_tol=0.0, norm_AAt=inst.norm_AAt,
                      reference=(ref.x, ref.s), log_every=1, hooks=hooks)
+
+    @staticmethod
+    def _fresh_rows(fresh, ref, xs, expected):
+        """A hook that recomputes each row's objective and gap on ``fresh``."""
+        sums = {}
+
+        def recompute(k, state, nxt, res):
+            xs.append(state.x.copy())
+            sums["x"] = state.x.copy() if k == 0 else sums["x"] + state.x
+            sums["s"] = nxt.s.copy() if k == 0 else sums["s"] + nxt.s
+            xbar = sums["x"] / (k + 1)
+            gap = (lagrangian(fresh, xbar, ref.s)
+                   - lagrangian(fresh, ref.x, sums["s"] / (k + 1)))
+            terms = (fresh.f.value(xbar), fresh.g.value(xbar),
+                     float(fresh.A.apply(xbar) @ ref.s), fresh.h.conjugate_value(ref.s))
+            expected.append((evaluate_objective(fresh, state.x), gap, xbar, terms))
+
+        return recompute
 
     def test_objective_and_gap_equal_a_fresh_evaluation(self, small_fused_lasso,
                                                         small_reference):
         inst, ref = small_fused_lasso, small_reference
         # a term of its own, whose value never sees a gradient point
         fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b, beta=inst.beta))
-        sums, expected = {}, []
-
-        def recompute(k, state, nxt, res):
-            sums["x"] = state.x.copy() if k == 0 else sums["x"] + state.x
-            sums["s"] = nxt.s.copy() if k == 0 else sums["s"] + nxt.s
-            gap = (lagrangian(fresh, sums["x"] / (k + 1), ref.s)
-                   - lagrangian(fresh, ref.x, sums["s"] / (k + 1)))
-            expected.append((evaluate_objective(fresh, state.x), gap))
-
-        rec = self._gap_solve(inst, ref, hooks=(recompute,))
+        xs, expected = [], []
+        rec = self._gap_solve(inst, ref, hooks=(self._fresh_rows(fresh, ref, xs, expected),))
         assert len(rec.rows) == len(expected) == 60
-        for row, (obj, gap) in zip(rec.rows, expected):
+        for row, (obj, gap, xbar, terms) in zip(rec.rows, expected):
+            assert row.objective == obj, row.iter
+            bound = gap_by_linearity_bound(inst.A, inst.b, xs[:row.iter + 1], xbar,
+                                           terms, gap)
+            assert abs(row.gap - gap) <= bound, row.iter
+
+    @pytest.mark.parametrize("case", ["afba", "no-residual-oracle"])
+    def test_gap_without_the_running_residual_is_a_fresh_evaluation(
+            self, small_fused_lasso, small_reference, case):
+        inst, ref = small_fused_lasso, small_reference
+        if case == "afba":
+            spec, algorithm, gamma = inst.spec, "afba", inst.beta
+            fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b, beta=inst.beta))
+        else:
+            c = np.linspace(-60.0, 60.0, inst.spec.x_dim)
+            spec = fresh = replace(inst.spec, f=quadratic_distance_term(c))
+            algorithm, gamma = "pd3o", 0.5  # <= beta = 1
+        xs, expected = [], []
+        rec = self._gap_solve(inst, ref, spec=spec, algorithm=algorithm, gamma=gamma,
+                              hooks=(self._fresh_rows(fresh, ref, xs, expected),))
+        assert len(rec.rows) == len(expected) == 60
+        for row, (obj, gap, _, _) in zip(rec.rows, expected):
             assert row.objective == obj, row.iter
             assert row.gap == gap, row.iter
+
+    def test_one_f_value_call_per_gap_row(self, small_fused_lasso, small_reference):
+        inst, ref = small_fused_lasso, small_reference
+        calls = []
+        value = inst.spec.f.value
+        f = replace(inst.spec.f, value=lambda x: calls.append(1) or value(x))
+        rec = self._gap_solve(inst, ref, spec=replace(inst.spec, f=f))
+        assert all(row.gap is not None for row in rec.rows)
+        # per row: the objective; per solve: f(x*) in the probe and the final objective
+        assert len(calls) == len(rec.rows) + 2
 
     def test_diagnostics_apply_A_twice_per_gap_row(self, small_fused_lasso,
                                                    small_reference):
@@ -655,6 +737,45 @@ class TestLoggedRows:
         # per row: h(A x) in the objective and A xbar in L(xbar, s*); per solve:
         # A x* in the first L(x*, sbar) and h(A x) in the final objective
         assert diagnostics == 2 * len(rec.rows) + 2
+
+
+class TestFiniteScreen:
+    """The step's finiteness checks: a dot-product screen, then the exact scan."""
+
+    # the residual and objective of such iterates overflow too, and say so
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_iterate_whose_square_norm_overflows_runs(self):
+        inst = gen_toy_quadratic(dim=6, seed=2)
+        c = 1e200 * np.arange(1.0, 7.0)
+        assert not math.isfinite(np.vdot(c, c))
+        spec = replace(inst.spec, f=quadratic_distance_term(c))
+        rec = solve(spec, "pd3o", StepSizes.from_lambda(1.0, 0.5), max_iters=5,
+                    norm_AAt=1.0, log_every=0)
+        # x reaches c in the first pass, so the second screens c-sized vectors
+        assert rec.metadata["iterations"] >= 2
+        np.testing.assert_allclose(rec.final_state.x, c, rtol=1e-12)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("oracle, first_bad_call, sub_step", [
+        ("h", 2, "s-update"),      # h-prox runs once per pass
+        ("g", 3, "x-update"),      # g-prox runs once at start and once per pass
+        ("f", 3, "xbar-update"),   # so does the gradient; pd3o's xbar+ uses it
+    ])
+    def test_bad_entry_after_the_first_iteration_names_its_substep(
+            self, rng, oracle, first_bad_call, sub_step, value):
+        spec, norm = random_instance(rng)
+        if oracle == "f":
+            spec = replace(spec, f=replace(spec.f, gradient=poisoned(
+                spec.f.gradient, first_bad_call, value)))
+        else:
+            term = getattr(spec, oracle)
+            spec = replace(spec, **{oracle: replace(term, prox=poisoned(
+                term.prox, first_bad_call, value))})
+        with pytest.raises(NumericalFailureError) as excinfo:
+            solve(spec, "pd3o", StepSizes.from_lambda(spec.beta, 0.5 / norm),
+                  max_iters=10, norm_AAt=norm)
+        assert excinfo.value.iteration == 1
+        assert excinfo.value.sub_step == sub_step
 
 
 class TestStopReason:

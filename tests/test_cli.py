@@ -234,6 +234,24 @@ class TestCompareCommand:
             "pd3o_gf1_lam0.125", "pd3o_gf1.5_lam0.125"}
         assert "skip chambolle-pock_gf1_lam0.125" in capsys.readouterr().out
 
+    def test_cells_past_the_theta_cap_are_skipped(self, tmp_path, capsys):
+        # theta = 1.4 is below the cap 2 - gamma/(2 beta) = 1.5 at gamma = beta
+        # but not below 1.05 at gamma = 1.9 beta
+        out = tmp_path / "relaxed.csv"
+        code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o",
+                     "--gamma-factors", "1.0,1.9", "--lambdas", "0.125",
+                     "--theta", "1.4", "--output", str(out)])
+        assert code == EXIT_OK
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert [s["series_id"] for s in manifest["series"]] == ["pd3o_gf1_lam0.125"]
+        [skipped] = manifest["skipped"]
+        assert skipped["series_id"] == "pd3o_gf1.9_lam0.125"
+        assert skipped["reason"].startswith("theta = 1.4 must lie in (0, 1.05)")
+        assert {row[0] for row in read_csv(out)[1:]} == {"pd3o_gf1_lam0.125"}
+        assert "skip pd3o_gf1.9_lam0.125: theta = 1.4" in capsys.readouterr().out
+
     def test_manifest_records_stop_reason(self, tmp_path):
         common = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
                   "--seed", "3", "--algorithms", "pd3o,pdfp", "--gamma-factors", "1.0",

@@ -81,6 +81,14 @@ class TestElasticNetGenerator:
         eigs = np.linalg.eigvalsh(inst.A.T @ inst.A)
         assert inst.tau_f == pytest.approx(max(eigs[0], 0.0) + 2 * inst.mu2)
 
+    @pytest.mark.parametrize("n, p, seed, mu1, mu2", [
+        (50, 50, 3, 0.0, 0.5), (12, 20, 1, 0.0, 0.0), (12, 12, 1, 0.3, 1.0)])
+    def test_beta_follows_the_least_squares_rule(self, n, p, seed, mu1, mu2):
+        inst = gen_elastic_net_strongly_convex(n=n, p=p, seed=seed, mu1=mu1, mu2=mu2)
+        assert inst.beta == inst.spec.beta
+        assert inst.beta == least_squares_term(inst.A, inst.b, ridge=mu2).beta
+        assert 1.0 / inst.beta >= np.linalg.norm(inst.A, 2) ** 2 + 2.0 * mu2
+
     def test_mu2_zero_leaves_least_squares_modulus(self):
         inst = gen_elastic_net_strongly_convex(n=12, p=20, seed=1, mu1=0.0, mu2=0.0)
         # p > n makes the Gram matrix singular: tau_f collapses to 0
