@@ -1,8 +1,8 @@
 """Primal-dual splitting iterations, step-size validation, and the solve loop.
 
-PD3O, Chambolle-Pock, Condat-Vu, PDFP and PAPC share one step, ``primal_dual_step``:
-update the dual at the extrapolated point xbar, take a forward-backward primal
-step, and cache the gradient at the new point,
+Seven schemes share one step, ``primal_dual_step``: update the dual at the
+extrapolated point xbar, take a forward-backward primal step, and cache the
+gradient at the new point,
 
     s+ = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
     z+ = x - gamma*grad f(x) - gamma*A^T s+,    x+ = prox_{gamma g}(z+).
@@ -15,16 +15,19 @@ The schemes differ only in the next extrapolated point (``EXTRAPOLATIONS``):
     chambolle-pock     2 x+ - x, for f = 0
     pdfp               prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
     papc               the pd3o rule, for g = 0
+    davis-yin          the pd3o rule, for A = I and gamma*delta = 1
 
 pd3o is the (z, s) form of the three-operator iteration and costs one g-prox,
 one conjugate prox, one gradient, one A and one A^T per pass; the reformulated
-rule gives the same iterates without z.  Only these two accept a smooth l*.
-AFBA (its gradient point depends on s+) and Davis-Yin (A = I, gamma*delta = 1)
-keep their own steps.
+rule gives the same iterates without z.  Only these two accept a smooth l*,
+and only pd3o relaxes (theta != 1).  By Moreau, the davis-yin row is the
+three-operator step z+ = z + prox_{gamma h}(w) - x, w = 2x - z - gamma*grad f(x).
+AFBA keeps its own step: it takes the gradient at a point formed after s+ and
+none at its carried x, two branches the shared step would serve for it alone.
 
 Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
-chosen step into a stopping rule, optional relaxation, and per-iteration
-diagnostics collected into a ``ConvergenceRecord``.
+chosen step into a stopping rule and per-iteration diagnostics collected into
+a ``ConvergenceRecord``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable
@@ -112,12 +115,15 @@ class StepSizes:
 
 @dataclass
 class SolverState:
-    """One splitting iterate: (z, s, x) plus the cached gradient of f at x.
+    """One splitting iterate: (z, s, x), the gradient of f at x, xbar and A^T s.
 
     ``z`` is always the argument of the latest g-prox and ``x`` its output
     (for the g-free scheme they coincide), so the pair (z, s) is comparable
     across algorithms.  ``xbar`` is the extrapolated point at which the next
-    dual update evaluates A; it is None for Davis-Yin, which does not carry one.
+    dual update evaluates A, and ``ats`` is A^T s at this state's s.  Every
+    state that ``initial_state`` or a step builds carries all of them; in a
+    state built by hand, a missing ``grad_f`` or ``ats`` is computed when a
+    step needs it.
     """
 
     z: np.ndarray
@@ -125,21 +131,11 @@ class SolverState:
     x: np.ndarray
     grad_f: np.ndarray | None = None
     xbar: np.ndarray | None = None
-
-    @classmethod
-    def fresh(cls, spec: ProblemSpec, steps: StepSizes, z, s) -> "SolverState":
-        """State with x = prox_{gamma g}(z), its gradient and the pd3o xbar cached."""
-        z = as_vector(z, spec.x_dim, name="z")
-        s = as_vector(s, spec.s_dim, name="s")
-        x = spec.g.prox(z, steps.gamma)
-        state = cls(z=z, s=s, x=x, grad_f=spec.f.gradient(x))
-        state.xbar = _pd3o_point(spec, steps.gamma, None, state, spec.A.adjoint_apply(s))
-        return state
+    ats: np.ndarray | None = None
 
     def copy(self) -> "SolverState":
-        dup = lambda a: None if a is None else a.copy()
-        return SolverState(self.z.copy(), self.s.copy(), self.x.copy(),
-                           dup(self.grad_f), dup(self.xbar))
+        return SolverState(*(None if getattr(self, f.name) is None
+                             else getattr(self, f.name).copy() for f in fields(self)))
 
 
 def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
@@ -153,9 +149,20 @@ def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
     return v
 
 
-def _require_lstar_zero(spec: ProblemSpec, name: str):
-    if not spec.lstar.is_zero:
-        raise AlgorithmMisuseError(f"{name} assumes l* = 0; use pd3o for smooth l*")
+# What a step requires of the problem and the steps: (holds(spec, steps), what).
+_ZERO_F = (lambda spec, steps: spec.f.is_zero, "f = 0")
+_ZERO_G = (lambda spec, steps: spec.g.is_zero, "g = 0")
+_IDENTITY = (lambda spec, steps: spec.A.is_identity and abs(steps.lam - 1.0) <= _EPS,
+             "A = I and gamma*delta = 1")
+_ZERO_LSTAR = (lambda spec, steps: spec.lstar.is_zero, "l* = 0; use pd3o for smooth l*")
+_UNRELAXED = (lambda spec, steps: steps.theta == 1.0, "theta = 1; only pd3o relaxes")
+_PLAIN = (_ZERO_LSTAR, _UNRELAXED)  # every scheme but the two pd3o forms
+
+
+def _require(needs, spec: ProblemSpec, steps: StepSizes, scheme: str):
+    for holds, what in needs:
+        if not holds(spec, steps):
+            raise AlgorithmMisuseError(f"the {scheme} step requires {what}")
 
 
 # --- the shared primal-dual step and its extrapolation table --------------------
@@ -172,9 +179,7 @@ class Extrapolation:
 
     rule: Callable
     start: Callable
-    smooth_lstar: bool = False  # accepts l* != 0
-    needs_zero_f: bool = False
-    needs_zero_g: bool = False
+    needs: tuple = _PLAIN  # what the step requires, checked in order
 
 
 def _pd3o_point(spec, gamma, prev, nxt, ats):
@@ -194,13 +199,14 @@ def _forward_backward_point(spec, gamma, prev, nxt, ats):
 
 
 EXTRAPOLATIONS: dict[AlgorithmId, Extrapolation] = {
-    AlgorithmId.PD3O: Extrapolation(_pd3o_point, _pd3o_point, smooth_lstar=True),
+    AlgorithmId.PD3O: Extrapolation(_pd3o_point, _pd3o_point, ()),
     AlgorithmId.PD3O_REFORMULATED: Extrapolation(
-        _gradient_corrected_reflection, _pd3o_point, smooth_lstar=True),
+        _gradient_corrected_reflection, _pd3o_point, (_UNRELAXED,)),
     AlgorithmId.CONDAT_VU: Extrapolation(_reflection, _pd3o_point),
-    AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, needs_zero_f=True),
+    AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, (_ZERO_F, *_PLAIN)),
     AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point),
-    AlgorithmId.PAPC: Extrapolation(_pd3o_point, _pd3o_point, needs_zero_g=True),
+    AlgorithmId.PAPC: Extrapolation(_pd3o_point, _pd3o_point, (_ZERO_G, *_PLAIN)),
+    AlgorithmId.DAVIS_YIN: Extrapolation(_pd3o_point, _pd3o_point, (_IDENTITY, *_PLAIN)),
 }
 
 
@@ -222,15 +228,14 @@ def initial_state(
     z0 = np.zeros(spec.x_dim) if z0 is None else as_vector(z0, spec.x_dim, name="z0")
     s0 = np.zeros(spec.s_dim) if s0 is None else as_vector(s0, spec.s_dim, name="s0")
     x0 = spec.g.prox(z0, gamma)
-    state = SolverState(z=z0, s=s0, x=x0, grad_f=spec.f.gradient(x0))
-    if algorithm in EXTRAPOLATIONS:
-        state.xbar = EXTRAPOLATIONS[algorithm].start(
-            spec, gamma, None, state, spec.A.adjoint_apply(s0))
-    elif algorithm is AlgorithmId.AFBA:
-        w0 = x0 - gamma * state.grad_f - gamma * spec.A.adjoint_apply(s0)
+    state = SolverState(z=z0, s=s0, x=x0, grad_f=spec.f.gradient(x0),
+                        ats=spec.A.adjoint_apply(s0))
+    if algorithm is AlgorithmId.AFBA:
+        w0 = x0 - gamma * state.grad_f - gamma * state.ats
         xbar0 = spec.g.prox(w0, gamma)
         # the prox output is the iterate the scheme carries forward
-        state = SolverState(z=w0, s=s0, x=xbar0, grad_f=None, xbar=xbar0)
+        return SolverState(z=w0, s=s0, x=xbar0, xbar=xbar0, ats=state.ats)
+    state.xbar = EXTRAPOLATIONS[algorithm].start(spec, gamma, None, state, state.ats)
     return state
 
 
@@ -242,24 +247,22 @@ def primal_dual_step(
 ) -> SolverState:
     """One pass of the shared skeleton, closed by ``scheme``'s xbar+ rule.
 
-    A pd3o state without xbar or a cached gradient is rebuilt from (z, s);
-    the other schemes compute a missing gradient and need xbar.
+    With theta != 1 (pd3o only), (z+, s+) and A^T s+ are relaxed toward
+    (z, s) and A^T s before the g-prox, so the result is the state at
+    theta*T(z, s) + (1 - theta)*(z, s).
+    A state lacking xbar or the gradient is rebuilt from (z, s) by rows whose
+    xbar+ is the pd3o point; the others compute the gradient and need xbar.
     """
     ext = EXTRAPOLATIONS[scheme]
-    if ext.needs_zero_f and not spec.f.is_zero:
-        raise AlgorithmMisuseError(f"the {scheme.value} step requires f = 0")
-    if ext.needs_zero_g and not spec.g.is_zero:
-        raise AlgorithmMisuseError(f"the {scheme.value} step requires g = 0")
-    if not ext.smooth_lstar:
-        _require_lstar_zero(spec, f"the {scheme.value} step")
+    _require(ext.needs, spec, steps, scheme.value)
     if state.xbar is None or state.grad_f is None:
-        if scheme is AlgorithmId.PD3O:
-            state = SolverState.fresh(spec, steps, state.z, state.s)
+        if ext.rule is _pd3o_point:
+            state = initial_state(spec, steps, scheme, state.z, state.s)
         elif state.xbar is None:
             raise AlgorithmMisuseError(f"the {scheme.value} step needs state.xbar")
         else:
             state = replace(state, grad_f=spec.f.gradient(state.x))
-    gamma, delta = steps.gamma, steps.delta
+    gamma, delta, theta = steps.gamma, steps.delta, steps.theta
 
     arg = state.s + delta * spec.A.apply(state.xbar)
     if not spec.lstar.is_zero:
@@ -267,8 +270,13 @@ def primal_dual_step(
     s_next = _ensure_finite(prox_conjugate(spec.h, arg, delta), "s-update")
     ats = spec.A.adjoint_apply(s_next)
     z_next = state.x - gamma * state.grad_f - gamma * ats
+    if theta != 1.0:
+        ats0 = spec.A.adjoint_apply(state.s) if state.ats is None else state.ats
+        z_next = state.z + theta * (z_next - state.z)
+        s_next = state.s + theta * (s_next - state.s)
+        ats = ats0 + theta * (ats - ats0)
     x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
+    nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next), ats=ats)
     nxt.xbar = _ensure_finite(ext.rule(spec, gamma, state, nxt, ats), "xbar-update")
     return nxt
 
@@ -279,57 +287,33 @@ chambolle_pock_step = partial(primal_dual_step, scheme=AlgorithmId.CHAMBOLLE_POC
 pdfp_step = partial(primal_dual_step, scheme=AlgorithmId.PDFP)
 condat_vu_step = partial(primal_dual_step, scheme=AlgorithmId.CONDAT_VU)
 papc_step = partial(primal_dual_step, scheme=AlgorithmId.PAPC)
-
-
-def davis_yin_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
-    """Three-operator step for A = I and gamma*delta = 1.
-
-    z+ = z + prox_{gamma h}(2x - z - gamma*grad f(x)) - x, with the dual
-    s+ = delta*(I - prox_{gamma h})(2x - z - gamma*grad f(x)) maintained for
-    diagnostics.
-    """
-    if not spec.A.is_identity:
-        raise AlgorithmMisuseError("davis_yin_step requires A = I")
-    if abs(steps.gamma * steps.delta - 1.0) > _EPS:
-        raise AlgorithmMisuseError("davis_yin_step requires gamma*delta = 1")
-    _require_lstar_zero(spec, "davis_yin_step")
-    gamma, delta = steps.gamma, steps.delta
-    if state.x is None or state.grad_f is None:
-        state = SolverState.fresh(spec, steps, state.z, state.s)
-    x, z, grad = state.x, state.z, state.grad_f
-
-    w = 2.0 * x - z - gamma * grad
-    u = _ensure_finite(spec.h.prox(w, gamma), "h-prox")
-    z_next = _ensure_finite(z + u - x, "z-update")
-    s_next = delta * (w - u)
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
-    return SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next))
+davis_yin_step = partial(primal_dual_step, scheme=AlgorithmId.DAVIS_YIN)
 
 
 def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
     """Asymmetric forward-backward-adjoint step (the three-function special case).
 
     s+    = prox_{delta h*}(s + delta*A xbar)
-    x+    = xbar - gamma*A^T (s+ - s)
+    x+    = xbar - gamma*(A^T s+ - A^T s)
     xbar+ = prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
 
-    The carried iterate (state.x) is the prox output xbar.
+    The carried iterate (state.x) is the prox output xbar; A^T s comes from
+    the state, so a pass applies A^T once.
     """
-    _require_lstar_zero(spec, "afba_step")
+    _require(_PLAIN, spec, steps, "afba")
     if state.xbar is None:
-        raise AlgorithmMisuseError("afba_step needs state.xbar")
+        raise AlgorithmMisuseError("the afba step needs state.xbar")
     gamma, delta = steps.gamma, steps.delta
-    s = state.s
 
     s_next = _ensure_finite(
-        prox_conjugate(spec.h, s + delta * spec.A.apply(state.xbar), delta), "s-update"
+        prox_conjugate(spec.h, state.s + delta * spec.A.apply(state.xbar), delta), "s-update"
     )
-    x_mid = _ensure_finite(
-        state.xbar - gamma * spec.A.adjoint_apply(s_next - s), "x-update"
-    )
-    z_next = x_mid - gamma * spec.f.gradient(x_mid) - gamma * spec.A.adjoint_apply(s_next)
+    ats = spec.A.adjoint_apply(s_next)
+    ats0 = spec.A.adjoint_apply(state.s) if state.ats is None else state.ats
+    x_mid = _ensure_finite(state.xbar - gamma * (ats - ats0), "x-update")
+    z_next = x_mid - gamma * spec.f.gradient(x_mid) - gamma * ats
     xbar_next = _ensure_finite(spec.g.prox(z_next, gamma), "xbar-update")
-    return SolverState(z=z_next, s=s_next, x=xbar_next, grad_f=None, xbar=xbar_next)
+    return SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
 
 
 STEP_FUNCTIONS: dict[AlgorithmId, Callable] = {
@@ -415,9 +399,12 @@ def validate_stepsizes(
     raise ValueError(f"unknown algorithm {algorithm}")
 
 
-def theta_cap(gamma: float, beta: float) -> float:
-    """The open upper end of the admissible relaxation interval (0, 2 - gamma/(2 beta))."""
-    return 2.0 if beta == INF else 2.0 - gamma / (2.0 * beta)
+def check_theta(theta: float, gamma: float, beta: float) -> None:
+    """Raise ``StepSizeError`` unless theta = 1 or theta lies in the admissible
+    relaxation interval (0, 2 - gamma/(2 beta)) for primal step gamma."""
+    cap = 2.0 if beta == INF else 2.0 - gamma / (2.0 * beta)
+    if theta != 1.0 and not theta < cap:
+        raise StepSizeError(f"theta = {theta} must lie in (0, {cap:.6g}) for these steps")
 
 
 # --- optimality / fixed-point checks -------------------------------------------
@@ -533,8 +520,9 @@ def solve(
     measured in the combined norm; past gamma*delta*||AA^T|| = 1, where the
     dual metric is indefinite (a forced run), it falls back to the Euclidean
     norm of the step and ``metadata["residual_metric"]`` says which.  When
-    theta != 1 the relaxed update theta*T(z,s) + (1-theta)*(z,s) is applied
-    (plain form only) and the cached prox/gradient are refreshed.
+    theta != 1 (pd3o only) each step returns the relaxed iterate
+    theta*T(z,s) + (1-theta)*(z,s), and the residual, the distance between
+    consecutive iterates divided by theta, is still ||T(z,s) - (z,s)||.
 
     ``reference``, when given as a pair (x_ref, s_ref), populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic
@@ -548,7 +536,8 @@ def solve(
     ``log_every`` thins the recorded rows, but iterations 0-10 and the final
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
-    iteration on the solving thread.
+    iteration on the solving thread; on a relaxed run next_state is the
+    relaxed iterate.
 
     Objective-based stopping (``objective_tol``, relative change between
     logged rows) is a secondary criterion for cross-algorithm comparisons.
@@ -573,12 +562,7 @@ def solve(
         logger.warning("forcing run with invalid step sizes: %s", verdict.violated)
 
     theta = steps.theta
-    if theta != 1.0:
-        if algorithm is not AlgorithmId.PD3O:
-            raise AlgorithmMisuseError("relaxation (theta != 1) is supported for pd3o only")
-        cap = theta_cap(steps.gamma, beta)
-        if not theta < cap:
-            raise StepSizeError(f"theta = {theta} must lie in (0, {cap:.6g}) for these steps")
+    check_theta(theta, steps.gamma, beta)
 
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
     euclidean = steps.lam * norm_AAt > 1.0 and not ctx.semidefinite
@@ -640,7 +624,7 @@ def solve(
             err.iteration = k
             raise
         res = (euclidean_residual(state, nxt) if euclidean
-               else fixed_point_residual(ctx, state, nxt))
+               else fixed_point_residual(ctx, state, nxt)) / theta
         s_sum += nxt.s
 
         stop = res <= residual_tol or k == max_iters - 1
@@ -670,12 +654,7 @@ def solve(
         for hook in hooks:
             hook(k, state, nxt, res)
 
-        if theta != 1.0:
-            z_rel = state.z + theta * (nxt.z - state.z)
-            s_rel = state.s + theta * (nxt.s - state.s)
-            state = SolverState.fresh(ispec, steps, z_rel, s_rel)
-        else:
-            state = nxt
+        state = nxt
         x_sum += state.x
         if r_sum is not None:
             r_sum += spec.f.residual(state.x)

@@ -28,8 +28,8 @@ from pathlib import Path
 from .algorithms import (
     AlgorithmId,
     StepSizes,
+    check_theta,
     solve,
-    theta_cap,
     validate_stepsizes,
 )
 from .exceptions import (
@@ -231,22 +231,12 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _theta_violation(theta: float, gamma: float, beta: float) -> str | None:
-    """Why a relaxed solve at primal step gamma would reject theta, or None."""
-    cap = theta_cap(gamma, beta)
-    if theta == 1.0 or theta < cap:
-        return None
-    return f"theta = {theta} must lie in (0, {cap:.6g}) for these steps"
-
-
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     instance = build_instance(cfg)
     # theta's cap 2 - gamma/(2 beta) falls as gamma grows, so a theta that the
     # smallest gamma factor rejects is inadmissible in every cell
     if gamma_factors:
-        error = _theta_violation(cfg.theta, min(gamma_factors) * instance.beta, instance.beta)
-        if error:
-            raise StepSizeError(error)
+        check_theta(cfg.theta, min(gamma_factors) * instance.beta, instance.beta)
     ref_iters = cfg.reference_iters if cfg.reference_iters > 0 else 20000
     ref = reference_solution(instance, ref_iters)
     reference = (ref.x, ref.s)
@@ -266,17 +256,9 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         sid = f"{alg}_gf{gf:g}_lam{lam:g}"
         cell = {"series_id": sid, "algorithm": alg, "gamma_factor": gf, "lambda": lam}
         steps = steps_for(cfg, instance, gamma_factor=gf, lam=lam)
-        verdict = validate_stepsizes(AlgorithmId(alg), steps,
-                                     instance.beta, instance.norm_AAt)
-        reason = None if verdict.valid or cfg.force else verdict.violated
-        reason = reason or _theta_violation(cfg.theta, steps.gamma, instance.beta)
-        if reason:
-            print(f"skip {sid}: {reason}")
-            manifest["skipped"].append({**cell, "reason": reason})
-            continue
         try:
             record = _solve(cfg, instance, alg, steps, reference)
-        except AlgorithmMisuseError as err:
+        except (StepSizeError, AlgorithmMisuseError) as err:
             print(f"skip {sid}: {err}")
             manifest["skipped"].append({**cell, "reason": str(err)})
             continue

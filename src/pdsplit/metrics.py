@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import IO, Iterable
 
 import numpy as np
@@ -77,20 +77,32 @@ def combined_norm_sq(ctx: MNormContext, z, s) -> float:
     return float(z @ z) + m_norm_sq(ctx, s)
 
 
+def _root(square, z, s) -> float:
+    """sqrt(square(z, s)) for a quadratic ``square``; when that square is not
+    finite, c*sqrt(square((z, s)/c)) with c the largest entry of (z, s)."""
+    sq = square(z, s)
+    if math.isfinite(sq):
+        return math.sqrt(sq)
+    z, s = np.asarray(z, dtype=float), np.asarray(s, dtype=float)
+    c = max(np.abs(z).max(initial=0.0), np.abs(s).max(initial=0.0))
+    return c * math.sqrt(square(z / c, s / c))
+
+
 def combined_norm(ctx: MNormContext, z, s) -> float:
-    return math.sqrt(combined_norm_sq(ctx, z, s))
+    return _root(lambda z, s: combined_norm_sq(ctx, z, s), z, s)
 
 
 def fixed_point_residual(ctx: MNormContext, state, nxt) -> float:
-    """||T(z, s) - (z, s)|| in the combined norm, given one unrelaxed step."""
+    """||nxt - state|| over (z, s) in the combined norm: ||T(z, s) - (z, s)||
+    for an unrelaxed step, theta times it for a relaxed one."""
     return combined_norm(ctx, nxt.z - state.z, nxt.s - state.s)
 
 
 def euclidean_residual(state, nxt) -> float:
-    """||T(z, s) - (z, s)|| in the Euclidean norm, for steps past
+    """||nxt - state|| over (z, s) in the Euclidean norm, for steps past
     gamma*delta*||A A^T|| = 1 where M is indefinite."""
-    dz, ds = nxt.z - state.z, nxt.s - state.s
-    return math.sqrt(float(dz @ dz) + float(ds @ ds))
+    return _root(lambda dz, ds: float(dz @ dz) + float(ds @ ds),
+                 nxt.z - state.z, nxt.s - state.s)
 
 
 @dataclass
@@ -214,8 +226,8 @@ def averagedness_alpha(gamma: float, beta: float) -> float:
 def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> float:
     """Numerically certify the one-step averagedness inequality.
 
-    For each pair ((z1, s1), (z2, s2)) applies one splitting step to both and
-    evaluates
+    For each pair ((z1, s1), (z2, s2)) applies one unrelaxed pd3o step T
+    (theta = 1, whatever ``steps.theta`` is) to both and evaluates
 
         ||out-diff||^2 - ||in-diff||^2 + c * ||displacement-diff||^2,
 
@@ -224,16 +236,17 @@ def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> 
     contraction.  When f = 0 (beta = inf) the coefficient becomes 1 and the
     same expression is the firm-nonexpansiveness inequality.
     """
-    from .algorithms import SolverState, pd3o_step  # local import: avoids cycle
+    from .algorithms import initial_state, pd3o_step  # local import: avoids cycle
 
+    steps = replace(steps, theta=1.0)
     beta = spec.beta
     gamma = steps.gamma
     coeff = 1.0 if beta == INF else (2.0 * beta - gamma) / (2.0 * beta)
     ctx = MNormContext(steps.gamma, steps.delta, spec.A)
     worst = -INF
     for (z1, s1), (z2, s2) in pairs:
-        st1 = SolverState.fresh(spec, steps, as_vector(z1, spec.x_dim), as_vector(s1, spec.s_dim, "s"))
-        st2 = SolverState.fresh(spec, steps, as_vector(z2, spec.x_dim), as_vector(s2, spec.s_dim, "s"))
+        st1 = initial_state(spec, steps, "pd3o", z1, s1)
+        st2 = initial_state(spec, steps, "pd3o", z2, s2)
         out1 = pd3o_step(st1, spec, steps)
         out2 = pd3o_step(st2, spec, steps)
         out_diff = combined_norm_sq(ctx, out1.z - out2.z, out1.s - out2.s)

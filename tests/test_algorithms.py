@@ -31,7 +31,7 @@ from pdsplit.exceptions import (
     StepSizeError,
 )
 from pdsplit.linops import DenseMatrixOp, IdentityOp, LinearMap, ZeroOp, estimate_norm_AAt
-from pdsplit.metrics import lagrangian
+from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_toy_quadratic,
     least_squares_term,
@@ -90,7 +90,7 @@ class TestPd3oStep:
         # optimal x* = c gives the fixed pair (z*, s*) = (c, 0)
         inst = gen_toy_quadratic(dim=6, seed=5)
         steps = StepSizes.from_lambda(1.0, 0.5)
-        state = SolverState.fresh(inst.spec, steps, inst.c, np.zeros(6))
+        state = initial_state(inst.spec, steps, "pd3o", inst.c, np.zeros(6))
         nxt = alg.pd3o_step(state, inst.spec, steps)
         assert np.abs(nxt.z - state.z).max() <= 1e-12
         assert np.abs(nxt.s - state.s).max() <= 1e-12
@@ -103,7 +103,7 @@ class TestPd3oStep:
         spec = ProblemSpec(f=f, g=zero_prox(), h=zero_prox(),
                            lstar=zero_conjugate_smooth(), A=ZeroOp(1, 1))
         steps = StepSizes(1.0, 1.0)
-        state = SolverState.fresh(spec, steps, np.array([2.0]), np.zeros(1))
+        state = initial_state(spec, steps, "pd3o", np.array([2.0]), np.zeros(1))
         assert state.x[0] == 2.0 and state.grad_f[0] == 2.0
         nxt = alg.pd3o_step(state, spec, steps)
         assert nxt.s[0] == 0.0
@@ -381,7 +381,7 @@ class TestDavisYin:
                            lstar=zero_conjugate_smooth(), A=IdentityOp(6))
         steps = StepSizes(0.7, 1.0 / 0.7)
         z = rng.standard_normal(6)
-        state = SolverState.fresh(spec, steps, z, np.zeros(6))
+        state = initial_state(spec, steps, "pd3o", z, np.zeros(6))
         nxt = alg.davis_yin_step(state, spec, steps)
         x = spec.g.prox(z, 0.7)
         expected = z + spec.h.prox(2 * x - z, 0.7) - x
@@ -405,6 +405,38 @@ class TestAfba:
         for expected in xs[1:]:
             x = spec.g.prox(x - 0.9 * spec.f.gradient(x), 0.9)
             np.testing.assert_allclose(x, expected, atol=1e-14)
+
+
+class TestRelaxation:
+    def test_relaxed_step_is_the_average_of_the_state_and_its_image(self, rng):
+        spec, norm = random_instance(rng)
+        z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
+        for theta in (0.7, 1.4):
+            steps = StepSizes.from_lambda(spec.beta, 0.5 / norm, theta=theta)
+            state = initial_state(spec, steps, "pd3o", z0, s0)
+            for _ in range(3):
+                state = alg.pd3o_step(state, spec, steps)
+            image = alg.pd3o_step(state, spec, replace(steps, theta=1.0))
+            expected = initial_state(spec, steps, "pd3o",
+                                     theta * image.z + (1 - theta) * state.z,
+                                     theta * image.s + (1 - theta) * state.s)
+            relaxed = alg.pd3o_step(state, spec, steps)
+            for attr in ("z", "s", "x", "grad_f", "xbar", "ats"):
+                dev = np.abs(getattr(relaxed, attr) - getattr(expected, attr)).max()
+                assert dev <= 1e-12, (theta, attr)
+
+    def test_other_steps_refuse_relaxation(self, rng):
+        # f = g = 0, A = I and gamma*delta = 1: a problem every scheme accepts
+        spec = ProblemSpec(f=zero_smooth(), g=zero_prox(), h=l1(0.5),
+                           lstar=zero_conjugate_smooth(), A=IdentityOp(4))
+        plain, relaxed = StepSizes(0.5, 2.0), StepSizes(0.5, 2.0, theta=1.2)
+        for algorithm, step in alg.STEP_FUNCTIONS.items():
+            if algorithm is AlgorithmId.PD3O:
+                continue
+            state = initial_state(spec, plain, algorithm, rng.standard_normal(4))
+            step(state, spec, plain)
+            with pytest.raises(AlgorithmMisuseError, match="only pd3o relaxes"):
+                step(state, spec, relaxed)
 
 
 class TestCondatVu:
@@ -514,14 +546,20 @@ class TestSolve:
 
     def test_oracle_counts_per_iteration(self, small_fused_lasso):
         inst = small_fused_lasso
-        steps = StepSizes.from_lambda(inst.beta, 0.125)
         # (g-prox, h-prox, gradient, A^T) calls per iteration
         expected = {"pd3o": (1, 1, 1, 1), "pd3o-reformulated": (1, 1, 1, 1),
-                    "condat-vu": (1, 1, 1, 1), "afba": (1, 1, 1, 2),
-                    "pdfp": (2, 1, 1, 1), "papc": (1, 1, 1, 1)}
+                    "condat-vu": (1, 1, 1, 1), "afba": (1, 1, 1, 1),
+                    "pdfp": (2, 1, 1, 1), "papc": (1, 1, 1, 1), "davis-yin": (1, 1, 1, 1)}
         for algorithm, (gp, hp, fg, at) in expected.items():
-            # papc needs g = 0; its g-prox is the zero prox, a copy
-            spec = replace(inst.spec, g=zero_prox()) if algorithm == "papc" else inst.spec
+            spec, steps = inst.spec, StepSizes.from_lambda(inst.beta, 0.125)
+            if algorithm == "papc":
+                # papc needs g = 0; its g-prox is the zero prox, a copy
+                spec = replace(inst.spec, g=zero_prox())
+            elif algorithm == "davis-yin":
+                # A = I, whose apply and adjoint are counted too, and gamma*delta = 1
+                spec = ProblemSpec(f=quadratic_distance_term(np.arange(6.0)), g=l1(0.2),
+                                   h=l1(0.4), lstar=zero_conjugate_smooth(), A=IdentityOp(6))
+                steps = StepSizes(0.8, 1.0 / 0.8)
             ispec, counters = instrument(spec)
             state = initial_state(ispec, steps, algorithm)
             before = counters.as_dict()
@@ -533,6 +571,37 @@ class TestSolve:
             assert after["h_prox"] - before["h_prox"] == hp * n, algorithm
             assert after["f_grad"] - before["f_grad"] == fg * n, algorithm
             assert after["a_adjoint"] - before["a_adjoint"] == at * n, algorithm
+
+    def test_relaxed_run_makes_one_oracle_call_per_pass(self, small_fused_lasso):
+        inst = small_fused_lasso
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125, theta=1.4),
+                    max_iters=300, residual_tol=0.0, norm_AAt=inst.norm_AAt)
+        calls = rec.metadata["oracle_calls"]
+        # one each at start and one per pass: the step relaxes before its g-prox
+        assert calls["g_prox"] == calls["f_grad"] == calls["a_adjoint"] == 301
+
+    def test_relaxed_residual_measures_the_unrelaxed_step(self, small_fused_lasso):
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.125, theta=0.7)
+        ctx = MNormContext(steps.gamma, steps.delta, inst.spec.A, norm_AAt=inst.norm_AAt)
+        seen = []
+        solve(inst.spec, "pd3o", steps, max_iters=20, residual_tol=0.0,
+              norm_AAt=inst.norm_AAt,
+              hooks=(lambda k, st, nxt, res: seen.append((st.copy(), res)),))
+        for st, res in seen:
+            image = alg.pd3o_step(st, inst.spec, replace(steps, theta=1.0))
+            assert res == pytest.approx(fixed_point_residual(ctx, st, image), rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_residual_stays_finite_when_its_square_overflows(self):
+        inst = gen_toy_quadratic(dim=6, seed=2)
+        c = 1e200 * np.arange(1.0, 7.0)
+        spec = replace(inst.spec, f=quadratic_distance_term(c))
+        rec = solve(spec, "pd3o", StepSizes.from_lambda(0.5, 0.5), max_iters=40,
+                    residual_tol=1e190, norm_AAt=1.0)
+        assert all(math.isfinite(r) for r in rec.residuals())
+        assert rec.metadata["stop_reason"] == "converged"
+        np.testing.assert_allclose(rec.final_state.x, c, rtol=1e-9)
 
     def test_forced_run_past_metric_boundary_uses_euclidean_residual(
             self, small_fused_lasso):
@@ -845,6 +914,6 @@ class TestStateValidation:
         from pdsplit.exceptions import DimensionMismatchError
 
         with pytest.raises(DimensionMismatchError):
-            SolverState.fresh(inst.spec, steps, np.zeros(7), np.zeros(119))
+            initial_state(inst.spec, steps, "pd3o", np.zeros(7), np.zeros(119))
         with pytest.raises(ValueError):
-            SolverState.fresh(inst.spec, steps, np.full(120, np.nan), np.zeros(119))
+            initial_state(inst.spec, steps, "pd3o", np.full(120, np.nan), np.zeros(119))

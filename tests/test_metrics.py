@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from pdsplit.algorithms import (
-    SolverState,
     StepSizes,
     fixed_point_from_primal_dual,
     initial_state,
@@ -80,7 +79,7 @@ class TestFixedPointResidual:
     def test_zero_at_fixed_point(self):
         inst = gen_toy_quadratic(dim=5, seed=1)
         steps = StepSizes.from_lambda(1.0, 0.5)
-        state = SolverState.fresh(inst.spec, steps, inst.c, np.zeros(5))
+        state = initial_state(inst.spec, steps, "pd3o", inst.c, np.zeros(5))
         nxt = pd3o_step(state, inst.spec, steps)
         ctx = MNormContext(steps.gamma, steps.delta, inst.spec.A)
         assert fixed_point_residual(ctx, state, nxt) <= 1e-12
