@@ -53,7 +53,6 @@ from .exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from .linops import LinearMap
 from .linops import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
 from .metrics import (
     ConvergenceRecord,
@@ -121,9 +120,9 @@ class SolverState:
     (for the g-free scheme they coincide), so the pair (z, s) is comparable
     across algorithms.  ``xbar`` is the extrapolated point at which the next
     dual update evaluates A, and ``ats`` is A^T s at this state's s.  Every
-    state that ``initial_state`` or a step builds carries all of them; in a
-    state built by hand, a missing ``grad_f`` or ``ats`` is computed when a
-    step needs it.
+    state that ``initial_state`` or a step builds carries all of them.  A step
+    completes a state built by hand, computing a missing ``grad_f`` or ``ats``
+    when it needs it, but ``solve`` does not accept one as ``init``.
     """
 
     z: np.ndarray
@@ -175,11 +174,13 @@ class Extrapolation:
     ``rule(spec, gamma, prev, nxt, ats)`` gives xbar+ from the states before
     and after the step (nxt.xbar not yet set) and ats = A^T s+.  ``start``
     reads only nxt and ats, so it also gives xbar0 from the initial state.
+    ``g_prox`` is how many g-prox calls one ``rule`` or ``start`` call makes.
     """
 
     rule: Callable
     start: Callable
     needs: tuple = _PLAIN  # what the step requires, checked in order
+    g_prox: int = 0
 
 
 def _pd3o_point(spec, gamma, prev, nxt, ats):
@@ -204,7 +205,7 @@ EXTRAPOLATIONS: dict[AlgorithmId, Extrapolation] = {
         _gradient_corrected_reflection, _pd3o_point, (_UNRELAXED,)),
     AlgorithmId.CONDAT_VU: Extrapolation(_reflection, _pd3o_point),
     AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, (_ZERO_F, *_PLAIN)),
-    AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point),
+    AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point, g_prox=1),
     AlgorithmId.PAPC: Extrapolation(_pd3o_point, _pd3o_point, (_ZERO_G, *_PLAIN)),
     AlgorithmId.DAVIS_YIN: Extrapolation(_pd3o_point, _pd3o_point, (_IDENTITY, *_PLAIN)),
 }
@@ -435,64 +436,25 @@ def fixed_point_residuals(spec: ProblemSpec, steps: StepSizes, z, s) -> FixedPoi
     return FixedPointResiduals(primal=float(r_primal), dual=float(r_dual))
 
 
-# --- oracle-call instrumentation ------------------------------------------------
-
-
-@dataclass
-class OracleCounters:
-    f_grad: int = 0
-    g_prox: int = 0
-    h_prox: int = 0
-    lstar_grad: int = 0
-    a_apply: int = 0
-    a_adjoint: int = 0
-
-    def as_dict(self) -> dict:
-        return dict(self.__dict__)
-
-
-class _CountingMap(LinearMap):
-    def __init__(self, inner: LinearMap, counters: OracleCounters):
-        super().__init__(inner.in_dim, inner.out_dim)
-        self._inner = inner
-        self._counters = counters
-
-    @property
-    def is_identity(self) -> bool:
-        return self._inner.is_identity
-
-    def norm_AAt_bound(self) -> float:
-        return self._inner.norm_AAt_bound()
-
-    def _apply(self, x):
-        self._counters.a_apply += 1
-        return self._inner.apply(x)
-
-    def _adjoint(self, s):
-        self._counters.a_adjoint += 1
-        return self._inner.adjoint_apply(s)
-
-
-def instrument(spec: ProblemSpec) -> tuple[ProblemSpec, OracleCounters]:
-    """Wrap a spec so prox/gradient/operator calls are counted."""
-    counters = OracleCounters()
-
-    def count(counter_name, fn):
-        def wrapped(*args):
-            setattr(counters, counter_name, getattr(counters, counter_name) + 1)
-            return fn(*args)
-        return wrapped
-
-    f = replace(spec.f, gradient=count("f_grad", spec.f.gradient))
-    g = replace(spec.g, prox=count("g_prox", spec.g.prox))
-    h = replace(spec.h, prox=count("h_prox", spec.h.prox))
-    lstar = replace(spec.lstar, gradient=count("lstar_grad", spec.lstar.gradient))
-    wrapped = ProblemSpec(f=f, g=g, h=h, lstar=lstar,
-                          A=_CountingMap(spec.A, counters))
-    return wrapped, counters
-
-
 # --- the outer loop -------------------------------------------------------------
+
+
+def oracle_calls(spec: ProblemSpec, algorithm: AlgorithmId, passes: int,
+                 started: bool) -> dict:
+    """The oracle calls of ``passes`` steps, after ``initial_state`` if ``started``.
+
+    A pass calls grad f, the g-prox, the h*-prox, A and A^T once each, and
+    grad l* once when l* != 0; the start calls grad f, the g-prox and A^T.  The
+    row's xbar rule adds its ``g_prox`` to both; AFBA's xbar0 adds one at start.
+    """
+    start = int(started)
+    if algorithm is AlgorithmId.AFBA:
+        g_prox = 2 * start + passes
+    else:
+        g_prox = (start + passes) * (1 + EXTRAPOLATIONS[algorithm].g_prox)
+    return {"f_grad": start + passes, "g_prox": g_prox, "h_prox": passes,
+            "lstar_grad": 0 if spec.lstar.is_zero else passes,
+            "a_apply": passes, "a_adjoint": start + passes}
 
 
 def solve(
@@ -537,7 +499,11 @@ def solve(
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
     iteration on the solving thread; on a relaxed run next_state is the
-    relaxed iterate.
+    relaxed iterate.  An ``init`` lacking xbar, A^T s or (but for AFBA) the
+    gradient, which ``initial_state`` sets, raises ``AlgorithmMisuseError``.
+    ``metadata["oracle_calls"]`` is declared by ``oracle_calls``, not counted:
+    the start's calls if ``solve`` built the state, plus one pass's per
+    iteration; the diagnostics' calls are not in it.
 
     Objective-based stopping (``objective_tol``, relative change between
     logged rows) is a secondary criterion for cross-algorithm comparisons.
@@ -580,8 +546,10 @@ def solve(
                 "gamma*delta*||AA^T|| = 1 requires grad l* constant (l* = 0 here)"
             )
 
-    ispec, counters = instrument(spec)
-    state = init.copy() if init is not None else initial_state(ispec, steps, algorithm)
+    state = initial_state(spec, steps, algorithm) if init is None else init.copy()
+    for name in ("xbar", "ats", "grad_f")[:2 if algorithm is AlgorithmId.AFBA else 3]:
+        if getattr(state, name) is None:
+            raise AlgorithmMisuseError(f"init lacks {name}; start from initial_state()")
 
     ref_x = ref_s = None
     gap_probe = None
@@ -619,7 +587,7 @@ def solve(
     k = 0
     for k in range(max_iters):
         try:
-            nxt = step_fn(state, ispec, steps)
+            nxt = step_fn(state, spec, steps)
         except NumericalFailureError as err:
             err.iteration = k
             raise
@@ -683,7 +651,7 @@ def solve(
         "final_residual": res,
         "residual_metric": "euclidean" if euclidean else "M",
         "log_every": log_every,
-        "oracle_calls": counters.as_dict(),
+        "oracle_calls": oracle_calls(spec, algorithm, k + 1, started=init is None),
         "problem": dict(descriptor or {}),
     }
     if gap_probe_dist_sq is not None:

@@ -58,9 +58,9 @@ def m_norm_sq(ctx: MNormContext, s) -> float:
     raises ``GeometryViolationError``.
     """
     s = np.asarray(s, dtype=float)
-    ss = float(s @ s)
+    ss = float(np.vdot(s, s))
     ats = ctx.A.adjoint_apply(s)
-    val = (ctx.gamma / ctx.delta) * (ss - ctx.gamma * ctx.delta * float(ats @ ats))
+    val = (ctx.gamma / ctx.delta) * (ss - ctx.gamma * ctx.delta * float(np.vdot(ats, ats)))
     if val < 0.0:
         if val < -_PSD_BAND * ss:
             raise GeometryViolationError(
@@ -74,7 +74,7 @@ def m_norm_sq(ctx: MNormContext, s) -> float:
 def combined_norm_sq(ctx: MNormContext, z, s) -> float:
     """||z||^2 + ||s||_M^2."""
     z = np.asarray(z, dtype=float)
-    return float(z @ z) + m_norm_sq(ctx, s)
+    return float(np.vdot(z, z)) + m_norm_sq(ctx, s)
 
 
 def _root(square, z, s) -> float:
@@ -101,7 +101,7 @@ def fixed_point_residual(ctx: MNormContext, state, nxt) -> float:
 def euclidean_residual(state, nxt) -> float:
     """||nxt - state|| over (z, s) in the Euclidean norm, for steps past
     gamma*delta*||A A^T|| = 1 where M is indefinite."""
-    return _root(lambda dz, ds: float(dz @ dz) + float(ds @ ds),
+    return _root(lambda dz, ds: float(np.vdot(dz, dz)) + float(np.vdot(ds, ds)),
                  nxt.z - state.z, nxt.s - state.s)
 
 
@@ -329,7 +329,7 @@ class ConvergenceRecord:
     """Per-iteration diagnostics plus run metadata.
 
     ``rows`` is thinned by the solver's log-every policy; ``metadata`` carries
-    the algorithm, step sizes, problem descriptor, oracle-call counters and
+    the algorithm, step sizes, problem descriptor, oracle-call counts and
     final-state summaries.  ``final_state`` is the in-memory last iterate and
     is not serialized.
     """

@@ -1,8 +1,10 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from pdsplit.linops import LinearMap
 from pdsplit.problems import (
     gen_elastic_net_strongly_convex,
     gen_fused_lasso,
@@ -66,3 +68,58 @@ def ridge_instance():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(12345)
+
+
+class _CountedMap(LinearMap):
+    """Counts ``apply`` and ``adjoint_apply`` calls on an inner operator."""
+
+    def __init__(self, inner, counts):
+        super().__init__(inner.in_dim, inner.out_dim)
+        self.inner, self.counts = inner, counts
+
+    @property
+    def is_identity(self):
+        return self.inner.is_identity
+
+    def norm_AAt_bound(self):
+        return self.inner.norm_AAt_bound()
+
+    def _apply(self, x):
+        self.counts["a_apply"] += 1
+        return self.inner.apply(x)
+
+    def _adjoint(self, s):
+        self.counts["a_adjoint"] += 1
+        return self.inner.adjoint_apply(s)
+
+
+def _counting_spec(spec):
+    """``spec`` with grad f, the g-, h- and grad l* oracles, A and A^T counted.
+
+    Returns the wrapped spec and its live counts, keyed as
+    ``metadata["oracle_calls"]``.
+    """
+    counts = dict.fromkeys(("f_grad", "g_prox", "h_prox", "lstar_grad",
+                            "a_apply", "a_adjoint"), 0)
+
+    def count(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+        return counted
+
+    wrapped = replace(
+        spec,
+        f=replace(spec.f, gradient=count("f_grad", spec.f.gradient)),
+        g=replace(spec.g, prox=count("g_prox", spec.g.prox)),
+        h=replace(spec.h, prox=count("h_prox", spec.h.prox)),
+        lstar=replace(spec.lstar, gradient=count("lstar_grad", spec.lstar.gradient)),
+        A=_CountedMap(spec.A, counts),
+    )
+    return wrapped, counts
+
+
+@pytest.fixture()
+def counting_spec():
+    """The oracle-counting wrapper: counting_spec(spec) -> (spec, counts)."""
+    return _counting_spec

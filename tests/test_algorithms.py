@@ -12,7 +12,6 @@ from pdsplit.algorithms import (
     StepSizes,
     fixed_point_residuals,
     initial_state,
-    instrument,
     solve,
     validate_stepsizes,
 )
@@ -30,7 +29,7 @@ from pdsplit.exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from pdsplit.linops import DenseMatrixOp, IdentityOp, LinearMap, ZeroOp, estimate_norm_AAt
+from pdsplit.linops import DenseMatrixOp, IdentityOp, ZeroOp, estimate_norm_AAt
 from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_toy_quadratic,
@@ -544,7 +543,7 @@ class TestSolve:
                   StepSizes.from_lambda(inst.beta, 0.125, theta=1.2),
                   max_iters=10, norm_AAt=inst.norm_AAt)
 
-    def test_oracle_counts_per_iteration(self, small_fused_lasso):
+    def test_oracle_counts_per_iteration(self, small_fused_lasso, counting_spec):
         inst = small_fused_lasso
         # (g-prox, h-prox, gradient, A^T) calls per iteration
         expected = {"pd3o": (1, 1, 1, 1), "pd3o-reformulated": (1, 1, 1, 1),
@@ -560,17 +559,84 @@ class TestSolve:
                 spec = ProblemSpec(f=quadratic_distance_term(np.arange(6.0)), g=l1(0.2),
                                    h=l1(0.4), lstar=zero_conjugate_smooth(), A=IdentityOp(6))
                 steps = StepSizes(0.8, 1.0 / 0.8)
-            ispec, counters = instrument(spec)
+            ispec, counters = counting_spec(spec)
             state = initial_state(ispec, steps, algorithm)
-            before = counters.as_dict()
+            before = dict(counters)
             n = 40
             for _ in range(n):
                 state = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)](state, ispec, steps)
-            after = counters.as_dict()
+            after = dict(counters)
             assert after["g_prox"] - before["g_prox"] == gp * n, algorithm
             assert after["h_prox"] - before["h_prox"] == hp * n, algorithm
             assert after["f_grad"] - before["f_grad"] == fg * n, algorithm
             assert after["a_adjoint"] - before["a_adjoint"] == at * n, algorithm
+
+    @pytest.mark.parametrize("algorithm, theta, smooth_lstar", [
+        *((a.value, 1.0, False) for a in AlgorithmId),
+        ("pd3o", 0.7, False), ("pd3o", 1.4, False), ("pd3o", 1.0, True),
+    ])
+    def test_declared_counts_are_the_calls_of_the_steps_and_start(
+            self, algorithm, theta, smooth_lstar, small_fused_lasso, small_reference,
+            counting_spec, monkeypatch):
+        inst = small_fused_lasso
+        spec, steps = inst.spec, StepSizes.from_lambda(inst.beta, 0.1, theta=theta)
+        reference = (small_reference.x, small_reference.s)
+        if algorithm == "chambolle-pock":
+            spec, steps = replace(spec, f=zero_smooth()), StepSizes.from_lambda(1.0, 0.1)
+        elif algorithm == "papc":
+            spec = replace(spec, g=zero_prox())
+        elif algorithm == "davis-yin":
+            c = np.arange(6.0)
+            spec = ProblemSpec(f=quadratic_distance_term(c), g=l1(0.2), h=l1(0.4),
+                               lstar=zero_conjugate_smooth(), A=IdentityOp(6))
+            steps, reference = StepSizes(0.8, 1.0 / 0.8), (c, np.zeros(6))
+        elif smooth_lstar:
+            spec = replace(spec, lstar=ConjugateSmoothTerm(
+                gradient=lambda s: 0.5 * s, beta_l=2.0, is_zero=False,
+                value=lambda s: 0.25 * float(s @ s)))
+        spec, counts = counting_spec(spec)
+        start = initial_state(spec, steps, algorithm)
+        # only the calls made inside a step or initial_state, not the diagnostics'
+        inside = dict.fromkeys(counts, 0)
+
+        def counted(fn):
+            def run(*args, **kwargs):
+                before = dict(counts)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    for key in counts:
+                        inside[key] += counts[key] - before[key]
+            return run
+
+        for scheme, fn in list(alg.STEP_FUNCTIONS.items()):
+            monkeypatch.setitem(alg.STEP_FUNCTIONS, scheme, counted(fn))
+        monkeypatch.setattr(alg, "initial_state", counted(alg.initial_state))
+        for ref, init in itertools.product((None, reference), (None, start)):
+            inside.update(dict.fromkeys(inside, 0))
+            rec = solve(spec, algorithm, steps, init=init, max_iters=25, reference=ref,
+                        log_every=3)
+            gap_on = ref is not None and theta == 1.0 and not smooth_lstar
+            assert (rec.rows[-1].gap is not None) == gap_on
+            assert rec.metadata["oracle_calls"] == inside, (ref is None, init is None)
+            assert inside["lstar_grad"] == (25 if smooth_lstar else 0)
+
+    def test_incomplete_init_is_rejected(self, small_fused_lasso):
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.1)
+        # every scheme needs xbar and A^T s; all but AFBA also the gradient
+        for algorithm, needed in (("pd3o", ("xbar", "ats", "grad_f")),
+                                  ("condat-vu", ("xbar", "ats", "grad_f")),
+                                  ("afba", ("xbar", "ats"))):
+            start = initial_state(inst.spec, steps, algorithm)
+            for name in needed:
+                with pytest.raises(AlgorithmMisuseError, match=name):
+                    solve(inst.spec, algorithm, steps, init=replace(start, **{name: None}),
+                          max_iters=3)
+        start = initial_state(inst.spec, steps, "pd3o")
+        with pytest.raises(AlgorithmMisuseError, match="xbar"):
+            solve(inst.spec, "pd3o", steps, init=SolverState(start.z, start.s, start.x),
+                  max_iters=3)
 
     def test_relaxed_run_makes_one_oracle_call_per_pass(self, small_fused_lasso):
         inst = small_fused_lasso
@@ -624,8 +690,6 @@ class TestSolve:
         rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
                     max_iters=3)
         assert rec.metadata["norm_AAt"] == inst.spec.A.norm_AAt_bound() == inst.norm_AAt
-        ispec, _ = instrument(inst.spec)
-        assert ispec.A.norm_AAt_bound() == inst.norm_AAt
 
     def test_numerical_failure_identifies_substep(self):
         broken = ProxTerm(value=lambda x: 0.0,
@@ -669,21 +733,6 @@ class TestSolve:
         res = fixed_point_residuals(spec, StepSizes(gamma, 1.0 / gamma),
                                     rec.final_state.z, rec.final_state.s)
         assert res.primal <= 1e-8
-
-
-class CountingMap(LinearMap):
-    """Counts ``apply`` calls on an inner operator."""
-
-    def __init__(self, inner):
-        super().__init__(inner.in_dim, inner.out_dim)
-        self.inner, self.applies = inner, 0
-
-    def _apply(self, x):
-        self.applies += 1
-        return self.inner.apply(x)
-
-    def _adjoint(self, s):
-        return self.inner.adjoint_apply(s)
 
 
 U = np.finfo(float).eps / 2  # unit roundoff
@@ -797,12 +846,12 @@ class TestLoggedRows:
         assert len(calls) == len(rec.rows) + 2
 
     def test_diagnostics_apply_A_twice_per_gap_row(self, small_fused_lasso,
-                                                   small_reference):
+                                                   small_reference, counting_spec):
         inst, ref = small_fused_lasso, small_reference
-        A = CountingMap(inst.spec.A)
-        rec = self._gap_solve(inst, ref, spec=replace(inst.spec, A=A))
+        spec, counts = counting_spec(inst.spec)
+        rec = self._gap_solve(inst, ref, spec=spec)
         assert all(row.gap is not None for row in rec.rows)
-        diagnostics = A.applies - rec.metadata["oracle_calls"]["a_apply"]
+        diagnostics = counts["a_apply"] - rec.metadata["oracle_calls"]["a_apply"]
         # per row: h(A x) in the objective and A xbar in L(xbar, s*); per solve:
         # A x* in the first L(x*, sbar) and h(A x) in the final objective
         assert diagnostics == 2 * len(rec.rows) + 2

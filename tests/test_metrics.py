@@ -1,4 +1,7 @@
 import io
+import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +23,9 @@ from pdsplit.metrics import (
     MNormContext,
     averagedness_alpha,
     averagedness_inequality_check,
+    combined_norm,
     combined_norm_sq,
+    euclidean_residual,
     ergodic_gap_bound_check,
     fixed_point_residual,
     lagrangian,
@@ -293,3 +298,19 @@ class TestMissingOracles:
                            lstar=zero_conjugate_smooth(), A=IdentityOp(3))
         with pytest.raises(UnsupportedMetricError):
             lagrangian(spec, np.zeros(3), np.zeros(3))
+
+
+class TestOverflowingSquares:
+    def test_norms_of_representable_vectors_do_not_warn(self):
+        # the squares overflow, the norms do not; the rescaled path gives them
+        c = 1e200 * np.arange(1.0, 7.0)
+        ctx = MNormContext(0.5, 0.5, IdentityOp(6), norm_AAt=1.0)
+        state, nxt = SimpleNamespace(z=0.0 * c, s=0.0 * c), SimpleNamespace(z=c, s=c)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            combined = combined_norm(ctx, c, c)
+            euclidean = euclidean_residual(state, nxt)
+        unit = np.arange(1.0, 7.0) / 6.0
+        norm_c = 6e200 * math.sqrt(unit @ unit)
+        assert combined == pytest.approx(norm_c * math.sqrt(1.0 + (1.0 - 0.25)), rel=1e-14)
+        assert euclidean == pytest.approx(norm_c * math.sqrt(2.0), rel=1e-14)
