@@ -35,7 +35,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable
@@ -46,6 +46,7 @@ from .core import (
     INF,
     ProblemSpec,
     as_vector,
+    at_most,
     evaluate_objective,
 )
 from .exceptions import (
@@ -69,7 +70,9 @@ from .prox import prox_conjugate
 
 logger = logging.getLogger(__name__)
 
-_EPS = 1e-12  # slack on non-strict step-size boundaries
+# How a value compares with the boundary 1 in a step-size condition.
+_RELATIONS = {"<": lambda v: v < 1.0, "<=": lambda v: at_most(v, 1.0),
+              "=": lambda v: at_most(v, 1.0) and at_most(1.0, v)}
 
 
 class AlgorithmId(str, Enum):
@@ -120,9 +123,8 @@ class SolverState:
     (for the g-free scheme they coincide), so the pair (z, s) is comparable
     across algorithms.  ``xbar`` is the extrapolated point at which the next
     dual update evaluates A, and ``ats`` is A^T s at this state's s.  Every
-    state that ``initial_state`` or a step builds carries all of them.  A step
-    completes a state built by hand, computing a missing ``grad_f`` or ``ats``
-    when it needs it, but ``solve`` does not accept one as ``init``.
+    state that ``initial_state`` or a step builds carries all of them (AFBA's
+    no gradient), and a step refuses a state that lacks one.
     """
 
     z: np.ndarray
@@ -151,7 +153,7 @@ def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
 # What a step requires of the problem and the steps: (holds(spec, steps), what).
 _ZERO_F = (lambda spec, steps: spec.f.is_zero, "f = 0")
 _ZERO_G = (lambda spec, steps: spec.g.is_zero, "g = 0")
-_IDENTITY = (lambda spec, steps: spec.A.is_identity and abs(steps.lam - 1.0) <= _EPS,
+_IDENTITY = (lambda spec, steps: spec.A.is_identity and _RELATIONS["="](steps.lam),
              "A = I and gamma*delta = 1")
 _ZERO_LSTAR = (lambda spec, steps: spec.lstar.is_zero, "l* = 0; use pd3o for smooth l*")
 _UNRELAXED = (lambda spec, steps: steps.theta == 1.0, "theta = 1; only pd3o relaxes")
@@ -162,6 +164,13 @@ def _require(needs, spec: ProblemSpec, steps: StepSizes, scheme: str):
     for holds, what in needs:
         if not holds(spec, steps):
             raise AlgorithmMisuseError(f"the {scheme} step requires {what}")
+
+
+def _require_fields(state: SolverState, names: tuple, scheme: str):
+    for name in names:
+        if getattr(state, name) is None:
+            raise AlgorithmMisuseError(
+                f"the {scheme} step needs state.{name}; start from initial_state()")
 
 
 # --- the shared primal-dual step and its extrapolation table --------------------
@@ -250,19 +259,12 @@ def primal_dual_step(
 
     With theta != 1 (pd3o only), (z+, s+) and A^T s+ are relaxed toward
     (z, s) and A^T s before the g-prox, so the result is the state at
-    theta*T(z, s) + (1 - theta)*(z, s).
-    A state lacking xbar or the gradient is rebuilt from (z, s) by rows whose
-    xbar+ is the pd3o point; the others compute the gradient and need xbar.
+    theta*T(z, s) + (1 - theta)*(z, s).  A state lacking xbar, A^T s or the
+    gradient raises ``AlgorithmMisuseError``.
     """
     ext = EXTRAPOLATIONS[scheme]
     _require(ext.needs, spec, steps, scheme.value)
-    if state.xbar is None or state.grad_f is None:
-        if ext.rule is _pd3o_point:
-            state = initial_state(spec, steps, scheme, state.z, state.s)
-        elif state.xbar is None:
-            raise AlgorithmMisuseError(f"the {scheme.value} step needs state.xbar")
-        else:
-            state = replace(state, grad_f=spec.f.gradient(state.x))
+    _require_fields(state, ("xbar", "ats", "grad_f"), scheme.value)
     gamma, delta, theta = steps.gamma, steps.delta, steps.theta
 
     arg = state.s + delta * spec.A.apply(state.xbar)
@@ -272,10 +274,9 @@ def primal_dual_step(
     ats = spec.A.adjoint_apply(s_next)
     z_next = state.x - gamma * state.grad_f - gamma * ats
     if theta != 1.0:
-        ats0 = spec.A.adjoint_apply(state.s) if state.ats is None else state.ats
         z_next = state.z + theta * (z_next - state.z)
         s_next = state.s + theta * (s_next - state.s)
-        ats = ats0 + theta * (ats - ats0)
+        ats = state.ats + theta * (ats - state.ats)
     x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
     nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next), ats=ats)
     nxt.xbar = _ensure_finite(ext.rule(spec, gamma, state, nxt, ats), "xbar-update")
@@ -302,16 +303,14 @@ def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> Solver
     the state, so a pass applies A^T once.
     """
     _require(_PLAIN, spec, steps, "afba")
-    if state.xbar is None:
-        raise AlgorithmMisuseError("the afba step needs state.xbar")
+    _require_fields(state, ("xbar", "ats"), "afba")
     gamma, delta = steps.gamma, steps.delta
 
     s_next = _ensure_finite(
         prox_conjugate(spec.h, state.s + delta * spec.A.apply(state.xbar), delta), "s-update"
     )
     ats = spec.A.adjoint_apply(s_next)
-    ats0 = spec.A.adjoint_apply(state.s) if state.ats is None else state.ats
-    x_mid = _ensure_finite(state.xbar - gamma * (ats - ats0), "x-update")
+    x_mid = _ensure_finite(state.xbar - gamma * (ats - state.ats), "x-update")
     z_next = x_mid - gamma * spec.f.gradient(x_mid) - gamma * ats
     xbar_next = _ensure_finite(spec.g.prox(z_next, gamma), "xbar-update")
     return SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
@@ -342,21 +341,33 @@ class StepSizeVerdict:
         return self.valid
 
 
+# Each scheme's conditions, checked in order: (what, value(t, r, lam), relation to 1).
+_T_BELOW = ("gamma*delta*||AA^T||", lambda t, r, lam: t, "<")
+_R_BELOW = ("gamma/(2 beta)", lambda t, r, lam: r, "<")
+CONDITIONS: dict[AlgorithmId, tuple] = {
+    AlgorithmId.PD3O: (_T_BELOW, _R_BELOW),
+    AlgorithmId.PD3O_REFORMULATED: (_T_BELOW, _R_BELOW),
+    AlgorithmId.PDFP: (_T_BELOW, _R_BELOW),
+    AlgorithmId.PAPC: (_T_BELOW, _R_BELOW),
+    AlgorithmId.CONDAT_VU: (
+        ("gamma*delta*||AA^T|| + gamma/(2 beta)", lambda t, r, lam: t + r, "<="),),
+    AlgorithmId.AFBA: (("t/2 + sqrt(t/2)/2 + gamma/(2 beta)",
+                        lambda t, r, lam: 0.5 * t + 0.5 * math.sqrt(0.5 * t) + r, "<="),),
+    AlgorithmId.CHAMBOLLE_POCK: (("gamma*delta*||AA^T||", lambda t, r, lam: t, "<="),),
+    AlgorithmId.DAVIS_YIN: (("gamma*delta", lambda t, r, lam: lam, "="), _R_BELOW),
+}
+
+
 def validate_stepsizes(
     algorithm: AlgorithmId, steps: StepSizes, beta: float, norm_AAt: float
 ) -> StepSizeVerdict:
-    """Check (gamma, delta) against the convergence condition of each scheme.
+    """Check (gamma, delta) against the scheme's row of ``CONDITIONS``, stated
+    in t = gamma*delta*||A A^T|| and r = gamma/(2 beta) (the README lists them).
 
-    With t = gamma*delta*||A A^T|| and r = gamma/(2 beta):
-
-      pd3o, pdfp, papc:  t < 1  and  r < 1
-      condat-vu:         t + r <= 1
-      afba:              t/2 + sqrt(t/2)/2 + r <= 1
-      chambolle-pock:    t <= 1
-      davis-yin:         gamma*delta = 1  and  r < 1
-
-    Non-strict boundaries get 1e-12 slack so exact-boundary configurations
-    (e.g. t == 1 for chambolle-pock) validate cleanly.
+    Strict bounds are exact.  Non-strict ones and the equality hold up to
+    ``core.ROUNDING_SLACK`` (``at_most``), so exact-boundary configurations
+    (e.g. t == 1 for chambolle-pock) validate.  A violation message prints
+    the value at full precision; ``details`` holds t and r.
     """
     algorithm = AlgorithmId(algorithm)
     if not (beta > 0 and norm_AAt >= 0):
@@ -364,40 +375,11 @@ def validate_stepsizes(
     t = steps.lam * norm_AAt
     r = 0.0 if beta == INF else steps.gamma / (2.0 * beta)
     details = {"t": t, "r": r}
-
-    def verdict(ok: bool, msg: str | None) -> StepSizeVerdict:
-        return StepSizeVerdict(valid=ok, violated=None if ok else msg, details=details)
-
-    if algorithm in (AlgorithmId.PD3O, AlgorithmId.PD3O_REFORMULATED, AlgorithmId.PDFP,
-                     AlgorithmId.PAPC):
-        if not t < 1.0:
-            return verdict(False, f"gamma*delta*||AA^T|| = {t:.6g} must be < 1")
-        if not r < 1.0:
-            return verdict(False, f"gamma/(2 beta) = {r:.6g} must be < 1")
-        return verdict(True, None)
-    if algorithm is AlgorithmId.CONDAT_VU:
-        lhs = t + r
-        details["condition"] = lhs
-        ok = lhs <= 1.0 + _EPS
-        return verdict(ok, None if ok else
-                       f"gamma*delta*||AA^T|| + gamma/(2 beta) = {lhs:.6g} must be <= 1")
-    if algorithm is AlgorithmId.AFBA:
-        lhs = 0.5 * t + 0.5 * math.sqrt(0.5 * t) + r
-        details["condition"] = lhs
-        ok = lhs <= 1.0 + _EPS
-        return verdict(ok, None if ok else
-                       f"t/2 + sqrt(t/2)/2 + gamma/(2 beta) = {lhs:.6g} must be <= 1")
-    if algorithm is AlgorithmId.CHAMBOLLE_POCK:
-        ok = t <= 1.0 + _EPS
-        return verdict(ok, None if ok else
-                       f"gamma*delta*||AA^T|| = {t:.6g} must be <= 1")
-    if algorithm is AlgorithmId.DAVIS_YIN:
-        if abs(steps.lam - 1.0) > _EPS:
-            return verdict(False, f"gamma*delta = {steps.lam:.6g} must equal 1")
-        if not r < 1.0:
-            return verdict(False, f"gamma = {steps.gamma:.6g} must be < 2*beta")
-        return verdict(True, None)
-    raise ValueError(f"unknown algorithm {algorithm}")
+    for what, value, relation in CONDITIONS[algorithm]:
+        v = value(t, r, steps.lam)
+        if not _RELATIONS[relation](v):
+            return StepSizeVerdict(False, f"{what} = {v!r} must be {relation} 1", details)
+    return StepSizeVerdict(True, None, details)
 
 
 def check_theta(theta: float, gamma: float, beta: float) -> None:
@@ -479,9 +461,11 @@ def solve(
     Step sizes are validated first; invalid ones raise ``StepSizeError``
     unless ``force`` is set (the override is recorded in the metadata).
     ``norm_AAt`` defaults to ``spec.A.norm_AAt_bound()``.  The residual is
-    measured in the combined norm; past gamma*delta*||AA^T|| = 1, where the
-    dual metric is indefinite (a forced run), it falls back to the Euclidean
-    norm of the step and ``metadata["residual_metric"]`` says which.  When
+    measured in the combined norm, in the metric regime ``MNormContext`` reads
+    off t = gamma*delta*norm_AAt: a norm for t < 1, a seminorm (with a
+    warning) at t = 1 up to ``core.ROUNDING_SLACK``, and past that, where the
+    metric is indefinite (a forced run, or AFBA), the Euclidean norm of the
+    step; ``metadata["residual_metric"]`` says which.  When
     theta != 1 (pd3o only) each step returns the relaxed iterate
     theta*T(z,s) + (1-theta)*(z,s), and the residual, the distance between
     consecutive iterates divided by theta, is still ||T(z,s) - (z,s)||.
@@ -500,7 +484,8 @@ def solve(
     ``hooks`` are called as hook(k, state, next_state, residual) every
     iteration on the solving thread; on a relaxed run next_state is the
     relaxed iterate.  An ``init`` lacking xbar, A^T s or (but for AFBA) the
-    gradient, which ``initial_state`` sets, raises ``AlgorithmMisuseError``.
+    gradient, which ``initial_state`` sets, makes the first step raise
+    ``AlgorithmMisuseError``.
     ``metadata["oracle_calls"]`` is declared by ``oracle_calls``, not counted:
     the start's calls if ``solve`` built the state, plus one pass's per
     iteration; the diagnostics' calls are not in it.
@@ -531,25 +516,15 @@ def solve(
     check_theta(theta, steps.gamma, beta)
 
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
-    euclidean = steps.lam * norm_AAt > 1.0 and not ctx.semidefinite
+    euclidean = ctx.indefinite
     if euclidean:
         logger.warning("gamma*delta*||AA^T|| > 1: dual metric is indefinite; "
                        "residuals use the Euclidean norm")
-    if ctx.semidefinite:
-        if spec.lstar.is_zero:
-            logger.warning(
-                "gamma*delta*||AA^T|| = 1: dual metric is only a seminorm; "
-                "residuals use the seminorm"
-            )
-        elif not force:
-            raise StepSizeError(
-                "gamma*delta*||AA^T|| = 1 requires grad l* constant (l* = 0 here)"
-            )
+    elif ctx.semidefinite:
+        logger.warning("gamma*delta*||AA^T|| = 1: dual metric is only a seminorm; "
+                       "residuals use the seminorm")
 
     state = initial_state(spec, steps, algorithm) if init is None else init.copy()
-    for name in ("xbar", "ats", "grad_f")[:2 if algorithm is AlgorithmId.AFBA else 3]:
-        if getattr(state, name) is None:
-            raise AlgorithmMisuseError(f"init lacks {name}; start from initial_state()")
 
     ref_x = ref_s = None
     gap_probe = None
@@ -559,7 +534,7 @@ def solve(
         ref_s = as_vector(reference[1], spec.s_dim, name="s_ref")
         gap_enabled = (
             theta == 1.0
-            and steps.gamma <= beta * (1.0 + 1e-12)
+            and at_most(steps.gamma, beta)
             and spec.h.conjugate_value is not None
             and spec.lstar.is_zero
         )

@@ -185,20 +185,15 @@ def _solve(cfg: RunConfig, instance, algorithm: str, steps: StepSizes, reference
 def cmd_validate(cfg: RunConfig) -> int:
     instance = build_instance(cfg)
     steps = steps_for(cfg, instance)
-    print(f"instance: {json.dumps(instance.descriptor, sort_keys=True)}")
-    print(f"beta={instance.beta:.6g} norm_AAt={instance.norm_AAt:.6g} "
-          f"gamma={steps.gamma:.6g} delta={steps.delta:.6g} lambda={steps.lam:.6g}")
-    for alg in REPORTED_ALGORITHMS:
-        verdict = validate_stepsizes(alg, steps, instance.beta, instance.norm_AAt)
-        if verdict.valid:
-            print(f"{alg.value}: admissible")
-        else:
-            print(f"{alg.value}: rejected ({verdict.violated})")
     configured = AlgorithmId(cfg.algorithm)
     verdict = validate_stepsizes(configured, steps, instance.beta, instance.norm_AAt)
-    if configured not in REPORTED_ALGORITHMS:
-        state = "admissible" if verdict.valid else f"rejected ({verdict.violated})"
-        print(f"{configured.value}: {state}")
+    print(f"instance: {json.dumps(instance.descriptor, sort_keys=True)}")
+    print(f"beta={instance.beta:.6g} norm_AAt={instance.norm_AAt:.6g} "
+          f"gamma={steps.gamma:.6g} delta={steps.delta:.6g} lambda={steps.lam:.6g} "
+          f"t={verdict.details['t']!r} r={verdict.details['r']!r}")
+    for alg in dict.fromkeys((*REPORTED_ALGORITHMS, configured)):
+        v = validate_stepsizes(alg, steps, instance.beta, instance.norm_AAt)
+        print(f"{alg.value}: " + ("admissible" if v.valid else f"rejected ({v.violated})"))
     return EXIT_OK if verdict.valid else EXIT_INADMISSIBLE
 
 

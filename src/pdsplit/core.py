@@ -27,6 +27,20 @@ from .linops import LinearMap
 
 INF = math.inf
 
+# Rounding slack of a step-size boundary.  t = gamma*delta*||AA^T|| and
+# r = gamma/(2 beta) come from delta = lambda/gamma, the products gamma*delta
+# and (gamma*delta)*||AA^T||, the quotient gamma/(2 beta) and the sum t + r;
+# with lambda itself rounded (e.g. 1/||AA^T||) that is six roundings of
+# relative size eps/2 each, so at an exact boundary the computed value is
+# within 3 eps of 1 (so is afba's t/2 + sqrt(t/2)/2 + r, whose terms sum to
+# 1 and carry at most 2 eps each).  4 eps covers the second-order terms.
+ROUNDING_SLACK = 4.0 * float(np.finfo(float).eps)
+
+
+def at_most(a: float, b: float) -> bool:
+    """a <= b up to ``ROUNDING_SLACK``: the one test of every non-strict boundary."""
+    return a <= b * (1.0 + ROUNDING_SLACK)
+
 
 def as_vector(x, dim: int | None = None, name: str = "x") -> np.ndarray:
     """Coerce to a finite 1-D float vector, checking the dimension if given."""

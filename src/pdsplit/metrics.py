@@ -16,7 +16,7 @@ from typing import IO, Iterable
 
 import numpy as np
 
-from .core import INF, ProblemSpec, as_vector
+from .core import INF, ProblemSpec, as_vector, at_most
 from .exceptions import (
     GeometryViolationError,
     HypothesisViolationError,
@@ -32,8 +32,9 @@ _PSD_BAND = 1e-10
 class MNormContext:
     """Step sizes and operator fixing the dual metric.
 
-    ``semidefinite`` is set when gamma*delta*||A A^T|| == 1 within tolerance
-    (requires ``norm_AAt``); the metric is then only a seminorm on the dual.
+    Given ``norm_AAt``, t = gamma*delta*norm_AAt sets the regime: M is
+    definite for t < 1, ``semidefinite`` (a seminorm on the dual) for
+    1 <= t <= 1 + ``core.ROUNDING_SLACK``, and ``indefinite`` beyond.
     """
 
     gamma: float
@@ -41,13 +42,15 @@ class MNormContext:
     A: LinearMap
     norm_AAt: float | None = None
     semidefinite: bool = field(init=False, default=False)
+    indefinite: bool = field(init=False, default=False)
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.delta > 0):
             raise ValueError("step sizes must be positive")
         if self.norm_AAt is not None:
-            prod = self.gamma * self.delta * self.norm_AAt
-            object.__setattr__(self, "semidefinite", abs(prod - 1.0) <= 1e-9)
+            t = self.gamma * self.delta * self.norm_AAt
+            object.__setattr__(self, "indefinite", not at_most(t, 1.0))
+            object.__setattr__(self, "semidefinite", 1.0 <= t and not self.indefinite)
 
 
 def m_norm_sq(ctx: MNormContext, s) -> float:
@@ -204,7 +207,7 @@ def ergodic_gap_bound_check(
     z = probe_x - gamma*grad f(probe_x) - gamma*A^T probe_s.  Requires the run
     step gamma <= beta, else ``HypothesisViolationError``.
     """
-    if ctx.gamma > beta * (1.0 + 1e-12):
+    if not at_most(ctx.gamma, beta):
         raise HypothesisViolationError(
             f"ergodic gap bound needs gamma <= beta (gamma={ctx.gamma}, beta={beta})"
         )

@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 from dataclasses import replace
 
@@ -16,6 +17,8 @@ from pdsplit.algorithms import (
     validate_stepsizes,
 )
 from pdsplit.core import (
+    INF,
+    ROUNDING_SLACK,
     ConjugateSmoothTerm,
     ProblemSpec,
     ProxTerm,
@@ -32,6 +35,7 @@ from pdsplit.exceptions import (
 from pdsplit.linops import DenseMatrixOp, IdentityOp, ZeroOp, estimate_norm_AAt
 from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
+    gen_fused_lasso,
     gen_toy_quadratic,
     least_squares_term,
     quadratic_distance_term,
@@ -252,6 +256,7 @@ class TestChambollePock:
         steps = StepSizes(0.5, 0.5)
         state = SolverState(z=np.array([1.0]), s=np.array([0.0]), x=np.array([1.0]),
                             xbar=np.array([1.0]))
+        state.grad_f, state.ats = np.zeros(1), state.s.copy()  # f = 0 and A = I
         nxt = alg.chambolle_pock_step(state, spec, steps)
         assert nxt.s[0] == pytest.approx(1.0 / 3.0)
         assert nxt.x[0] == 0.0
@@ -264,6 +269,7 @@ class TestChambollePock:
         x = rng.standard_normal(4)
         state = SolverState(z=x.copy(), s=rng.standard_normal(4), x=x.copy(),
                             xbar=x.copy())
+        state.grad_f, state.ats = np.zeros(4), state.s.copy()  # f = 0 and A = I
         nxt = alg.chambolle_pock_step(state, spec, steps)
         np.testing.assert_array_equal(nxt.s, np.zeros(4))
         np.testing.assert_array_equal(nxt.x, x)
@@ -505,6 +511,36 @@ class TestValidateStepsizes:
         assert validate_stepsizes("davis-yin", StepSizes(0.5, 2.0), 1.0, 1.0).valid
         assert not validate_stepsizes("davis-yin", StepSizes(0.5, 1.0), 1.0, 1.0).valid
 
+    def test_rounding_slack_bounds_the_non_strict_verdicts(self):
+        # gamma = beta = 1, so r = 1/2: condat-vu's t + r and pd3o's t land
+        # 5e-13 past 1, and each message prints that value, not "= 1"
+        for algorithm, t in (("condat-vu", 0.5 + 5e-13), ("pd3o", 1.0 + 5e-13)):
+            steps = StepSizes.from_lambda(1.0, t / 4.0)
+            verdict = validate_stepsizes(algorithm, steps, beta=1.0, norm_AAt=4.0)
+            assert not verdict.valid, algorithm
+            assert "= 1 " not in verdict.violated, verdict.violated
+            assert "= 1.0000000000005" in verdict.violated, verdict.violated
+
+    def test_exact_boundaries_validate_and_ten_slacks_past_are_rejected(self):
+        rng = np.random.default_rng(11)
+        push = 1.0 + 10.0 * ROUNDING_SLACK
+        for gamma, norm, rho in zip((10.0 ** rng.uniform(-6, 6, 2000)).tolist(),
+                                    (10.0 ** rng.uniform(-6, 6, 2000)).tolist(),
+                                    rng.uniform(0.05, 0.95, 2000).tolist()):
+            beta = gamma / (2.0 * rho)  # r = rho
+            for edge, valid in ((1.0, True), (push, False)):
+                cases = (
+                    ("chambolle-pock", StepSizes.from_lambda(gamma, edge / norm), INF, norm),
+                    ("condat-vu", StepSizes.from_lambda(gamma, (edge - rho) / norm), beta, norm),
+                    ("davis-yin", StepSizes(gamma, edge / gamma), 2.0 * gamma, 1.0),
+                )
+                for algorithm, steps, b, n in cases:
+                    verdict = validate_stepsizes(algorithm, steps, beta=b, norm_AAt=n)
+                    assert verdict.valid is valid, (algorithm, gamma, norm, rho, verdict)
+
+    def test_every_scheme_has_a_condition_row_and_a_step(self):
+        assert set(alg.CONDITIONS) == set(alg.STEP_FUNCTIONS) == set(AlgorithmId)
+
 
 class TestSolve:
     def test_trivial_quadratic_converges(self):
@@ -684,6 +720,37 @@ class TestSolve:
         valid = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
                       max_iters=5, norm_AAt=inst.norm_AAt)
         assert valid.metadata["residual_metric"] == "M"
+
+    @staticmethod
+    def _near_boundary(t):
+        # a 20x40 fused lasso at gamma = beta with gamma*delta*||AA^T|| = t
+        inst = gen_fused_lasso(n=20, p=40, seed=7)
+        return inst, StepSizes.from_lambda(inst.beta, t / inst.norm_AAt)
+
+    def test_smooth_lstar_runs_just_below_the_metric_boundary(self):
+        inst, steps = self._near_boundary(1.0 - 5e-10)
+        spec = replace(inst.spec, lstar=ConjugateSmoothTerm(
+            gradient=lambda s: 0.1 * s, beta_l=10.0, is_zero=False,
+            value=lambda s: 0.05 * float(s @ s)))
+        rec = solve(spec, "pd3o", steps, max_iters=5, norm_AAt=inst.norm_AAt)
+        assert rec.metadata["stepsize_valid"] and rec.metadata["residual_metric"] == "M"
+
+    def test_seminorm_warning_only_at_the_metric_boundary(self, caplog):
+        inst, steps = self._near_boundary(1.0 - 5e-10)
+        with caplog.at_level(logging.WARNING, logger="pdsplit.algorithms"):
+            solve(inst.spec, "pd3o", steps, max_iters=3, norm_AAt=inst.norm_AAt)
+        assert not any("seminorm" in r.getMessage() for r in caplog.records)
+        # gamma = 1, delta = 1/4 and a declared ||AA^T|| of 4 give t = 1 exactly
+        with caplog.at_level(logging.WARNING, logger="pdsplit.algorithms"):
+            solve(replace(inst.spec, f=zero_smooth()), "chambolle-pock",
+                  StepSizes(1.0, 0.25), max_iters=3, norm_AAt=4.0)
+        assert any("seminorm" in r.getMessage() for r in caplog.records)
+
+    def test_forced_run_just_past_metric_boundary_uses_euclidean_residual(self):
+        inst, steps = self._near_boundary(1.0 + 5e-10)
+        rec = solve(inst.spec, "pd3o", steps, max_iters=3, norm_AAt=inst.norm_AAt,
+                    force=True)
+        assert rec.metadata["forced"] and rec.metadata["residual_metric"] == "euclidean"
 
     def test_default_norm_is_the_operator_bound(self, small_fused_lasso):
         inst = small_fused_lasso

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pdsplit.algorithms import StepSizes
 from pdsplit.cli import (
     EXIT_INADMISSIBLE,
     EXIT_OK,
@@ -12,6 +13,7 @@ from pdsplit.cli import (
     main,
 )
 from pdsplit.exceptions import ConfigParseError
+from pdsplit.problems import gen_fused_lasso
 
 
 def read_csv(path):
@@ -82,6 +84,12 @@ class TestValidateCommand:
         assert code == EXIT_INADMISSIBLE
         assert "pd3o: rejected" in out
         assert "pdfp: rejected" in out
+        # the header and the verdicts print t and r at full precision
+        inst = gen_fused_lasso(n=100, p=500, seed=7)
+        steps = StepSizes.from_lambda(inst.beta, 0.25001)
+        t, r = steps.lam * inst.norm_AAt, steps.gamma / (2.0 * inst.beta)
+        assert f" t={t!r} r={r!r}\n" in out
+        assert f"gamma*delta*||AA^T|| = {t!r} must be < 1" in out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
