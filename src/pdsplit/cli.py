@@ -7,21 +7,27 @@
 
 Parameters are entered as (gamma-factor, lambda): the primal step is
 gamma = factor * beta and the dual step is derived as delta = lambda / gamma,
-so a sweep over step sizes is a plain grid over those two numbers.  Exit
-codes: 0 success, 1 parse error, 2 inadmissible step sizes or
-algorithm/problem combination, 3 numerical failure.
+so a sweep over step sizes is a plain grid over those two numbers.  compare
+runs the grid's cells on the calling process and up to one helper process per
+further usable CPU, and writes every output in grid order.  Exit codes:
+0 success, 1 parse error, 2 inadmissible step sizes or algorithm/problem
+combination, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import io
 import itertools
 import json
 import os
+import pickle
+import subprocess
 import sys
 import tempfile
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,6 +232,145 @@ def cmd_run(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+# The run metadata a manifest series entry carries.
+_SERIES_KEYS = ("iterations", "final_objective", "final_residual", "stop_reason",
+                "residual_metric")
+
+
+def _run_cell(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
+    """Solve one grid cell: ``("ran", fields)`` with the cell's CSV text under
+    ``"csv"``, ``("skip", reason)`` or ``("failed", fields)``."""
+    try:
+        record = _solve(cfg, instance, cell["algorithm"], steps, reference)
+    except (StepSizeError, AlgorithmMisuseError) as err:
+        return "skip", str(err)
+    except NumericalFailureError as err:
+        return "failed", {"iteration": err.iteration, "sub_step": err.sub_step,
+                          "message": str(err)}
+    return "ran", {"csv": _record_to_csv_text(record, series_id=cell["series_id"]),
+                   **{key: record.metadata[key] for key in _SERIES_KEYS}}
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _helper_count(cells: int, cpus: int) -> int:
+    """Helper processes for a grid: min(cells, cpus) processes run it, the caller included."""
+    return max(0, min(cells, cpus) - 1)
+
+
+class _CellPool:
+    """The grid's cells, claimed in order, and their outcomes until the caller takes them.
+
+    Shared by the caller and the threads that feed its helpers.  An outcome
+    is ``(kind, value, stderr text)``; an ``"error"`` outcome ends all claiming.
+    """
+
+    def __init__(self, size: int):
+        self._next, self._size = 0, size
+        self._outcomes = {}
+        self._cond = threading.Condition()
+
+    def claim(self):
+        """The index of the next unclaimed cell, or None when there is none."""
+        with self._cond:
+            if self._next >= self._size:
+                return None
+            self._next += 1
+            return self._next - 1
+
+    def finish(self, i: int, outcome: tuple) -> None:
+        with self._cond:
+            self._outcomes[i] = outcome
+            if outcome[0] == "error":
+                self._next = self._size
+            self._cond.notify_all()
+
+    def done(self, i: int) -> bool:
+        with self._cond:
+            return i in self._outcomes
+
+    def take(self, i: int) -> tuple:
+        """Cell ``i``'s outcome, once a claimant has finished it."""
+        with self._cond:
+            self._cond.wait_for(lambda: i in self._outcomes)
+            return self._outcomes.pop(i)
+
+
+# A helper imports the package from the directory the caller imported it
+# from, however the caller was started (console script, -m, -c, stdin, pytest).
+_HELPER_MAIN = ("import sys; sys.path.insert(0, {root!r}); "
+                "from pdsplit.cli import _serve_cells; _serve_cells()")
+
+
+def _serve_cells() -> None:
+    """Main of a helper process.
+
+    Reads ``(config text, grid, reference)`` and then cell indices, pickled, from
+    stdin, and writes one pickled outcome per cell to stdout, with what the
+    cell wrote to stderr.  Returns when the caller closes stdin.
+    """
+    requests, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
+    os.dup2(2, 1)  # a stray print goes to stderr, never into the outcomes
+    with contextlib.suppress(EOFError):
+        cfg_text, grid, reference = pickle.load(requests)
+        cfg = config_from_text(cfg_text)
+        instance = build_instance(cfg)
+        while True:
+            cell, steps = grid[pickle.load(requests)]
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                kind, value = _run_cell(cfg, instance, reference, cell, steps)
+            pickle.dump((kind, value, err.getvalue()), replies)
+            replies.flush()
+
+
+class _Helper:
+    """A helper process and the caller's thread that feeds it cells from a pool."""
+
+    def __init__(self, pool: _CellPool, setup: tuple):
+        root = str(Path(__file__).resolve().parents[1])
+        self.log = tempfile.TemporaryFile()
+        self.proc = subprocess.Popen(
+            [sys.executable, "-c", _HELPER_MAIN.format(root=root)],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.log)
+        self.thread = threading.Thread(target=self._feed, args=(pool, setup), daemon=True)
+        self.thread.start()
+
+    def _feed(self, pool: _CellPool, setup: tuple) -> None:
+        i = pool.claim()
+        try:
+            if i is not None:
+                pickle.dump(setup, self.proc.stdin)
+            while i is not None:
+                pickle.dump(i, self.proc.stdin)
+                self.proc.stdin.flush()
+                pool.finish(i, pickle.load(self.proc.stdout))
+                i = pool.claim()
+        except Exception as err:  # any failure ends compare with an error naming the cell
+            try:
+                status = self.proc.wait(timeout=5)
+            except subprocess.TimeoutExpired:
+                self.proc.kill()
+                status = self.proc.wait()
+            self.log.seek(0)
+            lines = self.log.read().decode(errors="replace").strip().splitlines()
+            pool.finish(i, ("error", f"helper process failed (exit status {status}): "
+                                     f"{lines[-1] if lines else repr(err)}", ""))
+        finally:
+            with contextlib.suppress(OSError):
+                self.proc.stdin.close()
+
+    def reap(self) -> None:
+        self.thread.join()
+        self.proc.wait()
+        self.proc.stdout.close()
+        self.log.close()
+
+
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     instance = build_instance(cfg)
     # theta's cap 2 - gamma/(2 beta) falls as gamma grows, so a theta that the
@@ -235,46 +380,69 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     ref_iters = cfg.reference_iters if cfg.reference_iters > 0 else 20000
     ref = reference_solution(instance, ref_iters)
     reference = (ref.x, ref.s)
+    grid = [({"series_id": f"{alg}_gf{gf:g}_lam{lam:g}", "algorithm": alg,
+              "gamma_factor": gf, "lambda": lam},
+             steps_for(cfg, instance, gamma_factor=gf, lam=lam))
+            for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas)]
 
     out = Path(cfg.output)
     cell_dir = out.parent / (out.stem + ".cells")
-    merged_lines = [",".join(("series_id",) + CSV_HEADER)]
     manifest = {
         "instance": instance.descriptor,
         "reference_iters": ref_iters,
         "reference_objective": ref.objective,
         "series": [],
         "skipped": [],
+        "failed": [],
     }
     status = EXIT_OK
-    for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas):
-        sid = f"{alg}_gf{gf:g}_lam{lam:g}"
-        cell = {"series_id": sid, "algorithm": alg, "gamma_factor": gf, "lambda": lam}
-        steps = steps_for(cfg, instance, gamma_factor=gf, lam=lam)
-        try:
-            record = _solve(cfg, instance, alg, steps, reference)
-        except (StepSizeError, AlgorithmMisuseError) as err:
-            print(f"skip {sid}: {err}")
-            manifest["skipped"].append({**cell, "reason": str(err)})
-            continue
-        except NumericalFailureError as err:
-            print(f"numerical failure in {sid} at iteration {err.iteration}",
-                  file=sys.stderr)
-            status = EXIT_NUMERICAL
-            continue
-        cell_text = _record_to_csv_text(record, series_id=sid)
-        _atomic_write(cell_dir / f"{sid}.csv", cell_text)
-        merged_lines.extend(cell_text.splitlines()[1:])
-        manifest["series"].append({
-            **cell, "csv": str(cell_dir / f"{sid}.csv"),
-            "iterations": record.metadata["iterations"],
-            "final_objective": record.metadata["final_objective"],
-            "final_residual": record.metadata["final_residual"],
-            "stop_reason": record.metadata["stop_reason"],
-        })
-        print(f"ran {sid}: iterations={record.metadata['iterations']} "
-              f"objective={record.metadata['final_objective']:.12g}")
-    _atomic_write(out, "\n".join(merged_lines) + "\n")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    fd, merged_tmp = tempfile.mkstemp(dir=out.parent, suffix=".tmp")
+    pool = _CellPool(len(grid))
+    # the caller claims the first cell before any helper starts, so every grid
+    # runs at least one cell where a profiler or tracer in this process sees it
+    mine = pool.claim()
+    helpers = []
+    try:
+        with os.fdopen(fd, "w") as merged:
+            merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
+            for _ in range(_helper_count(len(grid), _usable_cpus())):
+                helpers.append(_Helper(pool, (cfg.to_text(), grid, reference)))
+            for i, (cell, _) in enumerate(grid):
+                while mine is not None and not pool.done(i):
+                    pool.finish(mine, (*_run_cell(cfg, instance, reference, *grid[mine]), ""))
+                    mine = pool.claim()
+                kind, value, stderr_text = pool.take(i)
+                sys.stderr.write(stderr_text)
+                sid = cell["series_id"]
+                if kind == "error":
+                    raise PdsplitError(f"{sid}: {value}")
+                if kind == "skip":
+                    print(f"skip {sid}: {value}")
+                    manifest["skipped"].append({**cell, "reason": value})
+                elif kind == "failed":
+                    print(f"numerical failure in {sid} at iteration {value['iteration']}",
+                          file=sys.stderr)
+                    manifest["failed"].append({**cell, **value})
+                    status = EXIT_NUMERICAL
+                else:
+                    cell_text = value.pop("csv")
+                    _atomic_write(cell_dir / f"{sid}.csv", cell_text)
+                    merged.write(cell_text[cell_text.index("\n") + 1:])
+                    manifest["series"].append(
+                        {**cell, "csv": str(cell_dir / f"{sid}.csv"), **value})
+                    print(f"ran {sid}: iterations={value['iterations']} "
+                          f"objective={value['final_objective']:.12g}")
+        os.replace(merged_tmp, out)
+    except BaseException:
+        for helper in helpers:
+            helper.proc.kill()
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(merged_tmp)
+        raise
+    finally:
+        for helper in helpers:
+            helper.reap()
     _atomic_write(out.with_suffix(out.suffix + ".manifest.json"),
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")

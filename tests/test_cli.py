@@ -1,11 +1,17 @@
 import csv
 import json
+import os
+import re
+import threading
+
 import numpy as np
 import pytest
 
+from pdsplit import cli
 from pdsplit.algorithms import StepSizes
 from pdsplit.cli import (
     EXIT_INADMISSIBLE,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_PARSE,
     RunConfig,
@@ -194,6 +200,121 @@ class TestCompareCommand:
         for run_row, cmp_row in zip(run_rows[1:], cmp_rows[1:]):
             assert cmp_row[1:-1] == run_row[:-1]
 
+    def test_grid_matches_standalone_runs_in_grid_order(self, tmp_path, monkeypatch, capsys):
+        # three processes for four cells, so helpers run cells on any machine
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        in_caller = []
+        run_cell = cli._run_cell
+
+        def counted(cfg, instance, reference, cell, steps):
+            in_caller.append(cell["series_id"])
+            return run_cell(cfg, instance, reference, cell, steps)
+
+        monkeypatch.setattr(cli, "_run_cell", counted)
+        common = ["--problem", "fused-lasso", "--n", "40", "--p", "120",
+                  "--seed", "3", "--max-iters", "300", "--tol", "0",
+                  "--reference-iters", "500"]
+        out = tmp_path / "grid.csv"
+        assert main(["compare", *common, "--algorithms", "condat-vu,pd3o",
+                     "--gamma-factors", "1.5,1.0", "--lambdas", "0.125",
+                     "--output", str(out)]) == EXIT_OK
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        grid = ["condat-vu_gf1.5_lam0.125", "condat-vu_gf1_lam0.125",
+                "pd3o_gf1.5_lam0.125", "pd3o_gf1_lam0.125"]
+        ran = grid[1:]
+        assert in_caller[0] == grid[0] and len(in_caller) < len(grid)
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines[:-1]] == [
+            "skip " + grid[0], *("ran " + sid for sid in ran)]
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert [s["series_id"] for s in manifest["series"]] == ran
+        assert [s["series_id"] for s in manifest["skipped"]] == grid[:1]
+        merged = read_csv(out)
+        assert [row[0] for row in merged[1:]] == [
+            s["series_id"] for s in manifest["series"] for _ in range(s["iterations"])]
+
+        wall = merged[0].index("wall_time_s")
+        for entry in manifest["series"]:
+            single = tmp_path / f"{entry['series_id']}.csv"
+            assert main(["run", *common, "--algorithm", entry["algorithm"],
+                         "--gamma-factor", repr(entry["gamma_factor"]),
+                         "--lambda", repr(entry["lambda"]),
+                         "--output", str(single)]) == EXIT_OK
+            cell_rows = read_csv(entry["csv"])
+            assert cell_rows == [row for row in merged if row[0] in (entry["series_id"],
+                                                                     "series_id")]
+            assert [row[1:wall] + row[wall + 1:] for row in cell_rows] == [
+                row[:wall - 1] + row[wall:] for row in read_csv(single)]
+
+    @pytest.mark.parametrize("helper_main, reason", [
+        ("raise RuntimeError('helper start-up failed')", "RuntimeError: helper start-up failed"),
+        ("import os; os._exit(7)", "exit status 7"),
+    ])
+    def test_failing_helper_ends_compare_naming_its_cell(self, tmp_path, monkeypatch, capsys,
+                                                         helper_main, reason):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(cli, "_HELPER_MAIN", helper_main)
+        out = tmp_path / "grid.csv"
+        argv = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                "--seed", "3", "--max-iters", "30", "--tol", "0",
+                "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                "--gamma-factors", "1.0,1.5", "--lambdas", "0.125",
+                "--output", str(out)]
+        codes = []
+        worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert codes and codes[0] != EXIT_OK
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        err = capsys.readouterr().err
+        named = re.search(r"error: (\S+): helper process failed", err)
+        assert named and named.group(1) in {"pd3o_gf1.5_lam0.125", "pdfp_gf1_lam0.125",
+                                            "pdfp_gf1.5_lam0.125"}
+        assert reason in err
+        assert sorted(os.listdir(tmp_path)) in ([], ["grid.cells"])
+
+    def test_helper_count_is_one_fewer_than_the_processes(self):
+        # min(cells, cpus) processes run a grid, the caller one of them
+        assert [cli._helper_count(cells, cpus) for cells, cpus in
+                ((12, 1), (12, 2), (3, 8), (1, 4), (0, 2))] == [0, 1, 2, 0, 0]
+
+    def test_numerically_failed_cells_are_recorded(self, tmp_path, capsys):
+        out = tmp_path / "div.csv"
+        with np.errstate(all="ignore"):
+            code = main(["compare", "--problem", "toy-quadratic", "--n", "6", "--seed", "1",
+                         "--algorithms", "pd3o,pdfp", "--gamma-factors", "1.0,3.0",
+                         "--lambdas", "0.5", "--max-iters", "3000", "--tol", "0",
+                         "--force", "--reference-iters", "200", "--output", str(out)])
+        assert code == EXIT_NUMERICAL
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert [s["series_id"] for s in manifest["series"]] == [
+            "pd3o_gf1_lam0.5", "pdfp_gf1_lam0.5"]
+        failed = manifest["failed"]
+        assert [f["series_id"] for f in failed] == ["pd3o_gf3_lam0.5", "pdfp_gf3_lam0.5"]
+        for entry in failed:
+            assert entry["sub_step"] == "xbar-update"
+            assert entry["iteration"] > 0
+            assert entry["message"].startswith("non-finite values")
+        assert "numerical failure in pdfp_gf3_lam0.5" in capsys.readouterr().err
+
+    def test_manifest_records_the_residual_metric(self, tmp_path):
+        # AFBA admits t = gamma*delta*||AA^T|| = 1.1, where M is indefinite and
+        # the residual falls back to the Euclidean norm
+        lam = 1.1 / gen_fused_lasso(20, 40, 7).norm_AAt
+        out = tmp_path / "metric.csv"
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "7", "--algorithms", "afba,pd3o", "--gamma-factors", "0.1",
+                     "--lambdas", f"0.125,{lam!r}", "--max-iters", "50", "--tol", "0",
+                     "--reference-iters", "200", "--output", str(out)]) == EXIT_OK
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert {s["series_id"]: s["residual_metric"] for s in manifest["series"]} == {
+            "afba_gf0.1_lam0.125": "M", f"afba_gf0.1_lam{lam:g}": "euclidean",
+            "pd3o_gf0.1_lam0.125": "M"}
+        assert [s["series_id"] for s in manifest["skipped"]] == [f"pd3o_gf0.1_lam{lam:g}"]
+
     def test_sweep_emits_expected_series(self, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main(["compare", "--problem", "fused-lasso", "--n", "40", "--p", "120",
@@ -334,10 +455,6 @@ class TestBottomSweep:
 
 class TestNumericalFailureExit:
     def test_forced_divergence_returns_exit_3(self, tmp_path):
-        import numpy as np
-
-        from pdsplit.cli import EXIT_NUMERICAL
-
         with np.errstate(all="ignore"):
             code = main(["run", "--problem", "toy-quadratic", "--n", "6",
                          "--seed", "1", "--gamma-factor", "3.0", "--lambda", "0.5",
