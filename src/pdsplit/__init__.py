@@ -8,7 +8,8 @@ Library layout:
 - ``linops``: linear operators with adjoints and certified bounds on ||A A^T||.
 - ``algorithms``: the splitting iterations, step-size validation, solve loop.
 - ``metrics``: the dual-metric geometry, residuals, gap and rate certificates.
-- ``problems``: reproducible benchmark generators and reference solutions.
+- ``problems``: reproducible benchmark generators, cached reference solutions
+  and the atomic file write the CLI shares.
 - ``cli``: the ``pdsplit`` command-line front end.
 """
 
@@ -25,7 +26,6 @@ from .core import (
     ProblemSpec,
     ProxTerm,
     SmoothTerm,
-    check_cocoercivity,
     evaluate_objective,
     zero_conjugate_smooth,
     zero_smooth,
@@ -42,7 +42,6 @@ from .linops import (
 from .metrics import (
     ConvergenceRecord,
     MNormContext,
-    averagedness_alpha,
     combined_norm_sq,
     ergodic_gap_bound_check,
     fixed_point_residual,
@@ -62,7 +61,6 @@ from .prox import (
     nonneg_indicator,
     prox_conjugate,
     prox_l1,
-    prox_optimality_residual,
     prox_sq_l2,
     project_nonneg,
     squared_l2,

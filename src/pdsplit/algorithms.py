@@ -112,6 +112,8 @@ class StepSizes:
 
     @classmethod
     def from_lambda(cls, gamma: float, lam: float, theta: float = 1.0) -> "StepSizes":
+        if not gamma > 0:
+            raise ValueError("gamma must be positive")
         return cls(gamma=gamma, delta=lam / gamma, theta=theta)
 
 
@@ -447,7 +449,6 @@ def solve(
     init: SolverState | None = None,
     max_iters: int = 1000,
     residual_tol: float = 0.0,
-    objective_tol: float | None = None,
     norm_AAt: float | None = None,
     reference: tuple | None = None,
     log_every: int = 1,
@@ -489,11 +490,8 @@ def solve(
     ``metadata["oracle_calls"]`` is declared by ``oracle_calls``, not counted:
     the start's calls if ``solve`` built the state, plus one pass's per
     iteration; the diagnostics' calls are not in it.
-
-    Objective-based stopping (``objective_tol``, relative change between
-    logged rows) is a secondary criterion for cross-algorithm comparisons.
     ``metadata["stop_reason"]`` says which rule ended the run: ``converged``
-    (the residual rule, which wins a tie), ``objective_tol`` or ``max_iters``.
+    (the residual rule, which wins on the last iteration) or ``max_iters``.
     """
     algorithm = AlgorithmId(algorithm)
     if max_iters < 1:
@@ -555,8 +553,6 @@ def solve(
         r_sum = spec.f.residual(state.x).copy()
     rows: list[IterationRow] = []
     t_start = time.perf_counter()
-    stop_reason = "max_iters"
-    prev_logged_obj = None
     res = math.inf
 
     k = 0
@@ -587,12 +583,6 @@ def solve(
                 iter=k, objective=obj, residual_im=res, dist_to_ref=dist, gap=gap,
                 wall_time_s=time.perf_counter() - t_start,
             ))
-            if (objective_tol is not None and prev_logged_obj is not None
-                    and math.isfinite(obj)
-                    and abs(obj - prev_logged_obj) <= objective_tol * max(1.0, abs(obj))):
-                stop = True
-                stop_reason = "objective_tol"
-            prev_logged_obj = obj
 
         for hook in hooks:
             hook(k, state, nxt, res)
@@ -603,10 +593,9 @@ def solve(
             r_sum += spec.f.residual(state.x)
 
         if stop:
-            if res <= residual_tol:
-                stop_reason = "converged"
             break
 
+    stop_reason = "converged" if res <= residual_tol else "max_iters"
     metadata = {
         "algorithm": algorithm.value,
         "gamma": steps.gamma,

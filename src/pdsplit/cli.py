@@ -24,10 +24,12 @@ import itertools
 import json
 import os
 import pickle
+import queue
 import subprocess
 import sys
 import tempfile
 import threading
+from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,6 +49,7 @@ from .exceptions import (
 )
 from .metrics import CSV_HEADER
 from .problems import (
+    atomic_file,
     gen_elastic_net_strongly_convex,
     gen_fused_lasso,
     gen_toy_quadratic,
@@ -164,11 +167,21 @@ def steps_for(cfg: RunConfig, instance, gamma_factor=None, lam=None) -> StepSize
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    with os.fdopen(fd, "w") as fh:
+    with atomic_file(path) as fh:
         fh.write(text)
-    os.replace(tmp, path)
+
+
+@contextlib.contextmanager
+def _setup_errors():
+    """Report a plain ``ValueError`` from a command's set-up (a size, step or
+    count the package rejects) as a configuration error; the package's own
+    errors keep their exit codes."""
+    try:
+        yield
+    except ValueError as err:
+        if isinstance(err, PdsplitError):
+            raise
+        raise ConfigParseError(str(err)) from err
 
 
 def _record_to_csv_text(record, series_id=None) -> str:
@@ -189,9 +202,10 @@ def _solve(cfg: RunConfig, instance, algorithm: str, steps: StepSizes, reference
 
 
 def cmd_validate(cfg: RunConfig) -> int:
-    instance = build_instance(cfg)
-    steps = steps_for(cfg, instance)
-    configured = AlgorithmId(cfg.algorithm)
+    with _setup_errors():
+        instance = build_instance(cfg)
+        steps = steps_for(cfg, instance)
+        configured = AlgorithmId(cfg.algorithm)
     verdict = validate_stepsizes(configured, steps, instance.beta, instance.norm_AAt)
     print(f"instance: {json.dumps(instance.descriptor, sort_keys=True)}")
     print(f"beta={instance.beta:.6g} norm_AAt={instance.norm_AAt:.6g} "
@@ -204,8 +218,12 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    instance = build_instance(cfg)
-    steps = steps_for(cfg, instance)
+    with _setup_errors():
+        if cfg.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        AlgorithmId(cfg.algorithm)  # a config file can name an unknown scheme
+        instance = build_instance(cfg)
+        steps = steps_for(cfg, instance)
     reference = None
     if cfg.reference_iters > 0:
         ref = reference_solution(instance, cfg.reference_iters)
@@ -263,42 +281,21 @@ def _helper_count(cells: int, cpus: int) -> int:
     return max(0, min(cells, cpus) - 1)
 
 
-class _CellPool:
-    """The grid's cells, claimed in order, and their outcomes until the caller takes them.
+def _claim(todo: queue.SimpleQueue):
+    """The index of the next unclaimed cell in ``todo``, or None when there is none."""
+    try:
+        return todo.get_nowait()
+    except queue.Empty:
+        return None
 
-    Shared by the caller and the threads that feed its helpers.  An outcome
-    is ``(kind, value, stderr text)``; an ``"error"`` outcome ends all claiming.
-    """
 
-    def __init__(self, size: int):
-        self._next, self._size = 0, size
-        self._outcomes = {}
-        self._cond = threading.Condition()
-
-    def claim(self):
-        """The index of the next unclaimed cell, or None when there is none."""
-        with self._cond:
-            if self._next >= self._size:
-                return None
-            self._next += 1
-            return self._next - 1
-
-    def finish(self, i: int, outcome: tuple) -> None:
-        with self._cond:
-            self._outcomes[i] = outcome
-            if outcome[0] == "error":
-                self._next = self._size
-            self._cond.notify_all()
-
-    def done(self, i: int) -> bool:
-        with self._cond:
-            return i in self._outcomes
-
-    def take(self, i: int) -> tuple:
-        """Cell ``i``'s outcome, once a claimant has finished it."""
-        with self._cond:
-            self._cond.wait_for(lambda: i in self._outcomes)
-            return self._outcomes.pop(i)
+def _settle(todo: queue.SimpleQueue, cell: Future, outcome: tuple) -> None:
+    """Give a claimed cell its outcome ``(kind, value, stderr text)``; an
+    ``"error"`` outcome ends all claiming."""
+    if outcome[0] == "error":
+        while _claim(todo) is not None:
+            pass
+    cell.set_result(outcome)
 
 
 # A helper imports the package from the directory the caller imported it
@@ -329,50 +326,54 @@ def _serve_cells() -> None:
 
 
 class _Helper:
-    """A helper process and the caller's thread that feeds it cells from a pool."""
+    """A helper process and the caller's thread that feeds it the cells it
+    claims, then reaps it."""
 
-    def __init__(self, pool: _CellPool, setup: tuple):
+    def __init__(self, todo: queue.SimpleQueue, cells: list, setup: tuple):
         root = str(Path(__file__).resolve().parents[1])
         self.log = tempfile.TemporaryFile()
         self.proc = subprocess.Popen(
             [sys.executable, "-c", _HELPER_MAIN.format(root=root)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.log)
-        self.thread = threading.Thread(target=self._feed, args=(pool, setup), daemon=True)
+        self.thread = threading.Thread(target=self._feed, args=(todo, cells, setup),
+                                       daemon=True)
         self.thread.start()
 
-    def _feed(self, pool: _CellPool, setup: tuple) -> None:
-        i = pool.claim()
-        try:
-            if i is not None:
-                pickle.dump(setup, self.proc.stdin)
-            while i is not None:
-                pickle.dump(i, self.proc.stdin)
-                self.proc.stdin.flush()
-                pool.finish(i, pickle.load(self.proc.stdout))
-                i = pool.claim()
-        except Exception as err:  # any failure ends compare with an error naming the cell
+    def _feed(self, todo: queue.SimpleQueue, cells: list, setup: tuple) -> None:
+        with self.log, self.proc:  # closes both pipes and waits for the process
+            i = _claim(todo)
             try:
-                status = self.proc.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.proc.kill()
-                status = self.proc.wait()
-            self.log.seek(0)
-            lines = self.log.read().decode(errors="replace").strip().splitlines()
-            pool.finish(i, ("error", f"helper process failed (exit status {status}): "
-                                     f"{lines[-1] if lines else repr(err)}", ""))
-        finally:
-            with contextlib.suppress(OSError):
-                self.proc.stdin.close()
-
-    def reap(self) -> None:
-        self.thread.join()
-        self.proc.wait()
-        self.proc.stdout.close()
-        self.log.close()
+                if i is not None:
+                    pickle.dump(setup, self.proc.stdin)
+                while i is not None:
+                    pickle.dump(i, self.proc.stdin)
+                    self.proc.stdin.flush()
+                    _settle(todo, cells[i], pickle.load(self.proc.stdout))
+                    i = _claim(todo)
+            except Exception as err:  # any failure ends compare with an error naming the cell
+                try:
+                    status = self.proc.wait(timeout=5)
+                except subprocess.TimeoutExpired:
+                    self.proc.kill()
+                    status = self.proc.wait()
+                self.log.seek(0)
+                lines = self.log.read().decode(errors="replace").strip().splitlines()
+                _settle(todo, cells[i], ("error", "helper process failed (exit status "
+                                         f"{status}): {lines[-1] if lines else repr(err)}", ""))
+            finally:
+                with contextlib.suppress(OSError):
+                    self.proc.stdin.close()
 
 
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
-    instance = build_instance(cfg)
+    with _setup_errors():
+        if cfg.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
+        instance = build_instance(cfg)
+        grid = [({"series_id": f"{alg}_gf{gf:g}_lam{lam:g}",
+                  "algorithm": AlgorithmId(alg).value, "gamma_factor": gf, "lambda": lam},
+                 steps_for(cfg, instance, gamma_factor=gf, lam=lam))
+                for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas)]
     # theta's cap 2 - gamma/(2 beta) falls as gamma grows, so a theta that the
     # smallest gamma factor rejects is inadmissible in every cell
     if gamma_factors:
@@ -380,10 +381,6 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     ref_iters = cfg.reference_iters if cfg.reference_iters > 0 else 20000
     ref = reference_solution(instance, ref_iters)
     reference = (ref.x, ref.s)
-    grid = [({"series_id": f"{alg}_gf{gf:g}_lam{lam:g}", "algorithm": alg,
-              "gamma_factor": gf, "lambda": lam},
-             steps_for(cfg, instance, gamma_factor=gf, lam=lam))
-            for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas)]
 
     out = Path(cfg.output)
     cell_dir = out.parent / (out.stem + ".cells")
@@ -396,23 +393,26 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         "failed": [],
     }
     status = EXIT_OK
-    out.parent.mkdir(parents=True, exist_ok=True)
-    fd, merged_tmp = tempfile.mkstemp(dir=out.parent, suffix=".tmp")
-    pool = _CellPool(len(grid))
+    # every process claims the next cell from todo as it frees up, and the
+    # caller takes each cell's outcome from its future in grid order
+    todo, cells = queue.SimpleQueue(), [Future() for _ in grid]
+    for i in range(len(grid)):
+        todo.put(i)
     # the caller claims the first cell before any helper starts, so every grid
     # runs at least one cell where a profiler or tracer in this process sees it
-    mine = pool.claim()
+    mine = _claim(todo)
     helpers = []
     try:
-        with os.fdopen(fd, "w") as merged:
+        with atomic_file(out) as merged:
             merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
             for _ in range(_helper_count(len(grid), _usable_cpus())):
-                helpers.append(_Helper(pool, (cfg.to_text(), grid, reference)))
+                helpers.append(_Helper(todo, cells, (cfg.to_text(), grid, reference)))
             for i, (cell, _) in enumerate(grid):
-                while mine is not None and not pool.done(i):
-                    pool.finish(mine, (*_run_cell(cfg, instance, reference, *grid[mine]), ""))
-                    mine = pool.claim()
-                kind, value, stderr_text = pool.take(i)
+                while mine is not None and not cells[i].done():
+                    _settle(todo, cells[mine],
+                            (*_run_cell(cfg, instance, reference, *grid[mine]), ""))
+                    mine = _claim(todo)
+                kind, value, stderr_text = cells[i].result()
                 sys.stderr.write(stderr_text)
                 sid = cell["series_id"]
                 if kind == "error":
@@ -433,16 +433,13 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
                         {**cell, "csv": str(cell_dir / f"{sid}.csv"), **value})
                     print(f"ran {sid}: iterations={value['iterations']} "
                           f"objective={value['final_objective']:.12g}")
-        os.replace(merged_tmp, out)
     except BaseException:
         for helper in helpers:
             helper.proc.kill()
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(merged_tmp)
         raise
     finally:
         for helper in helpers:
-            helper.reap()
+            helper.thread.join()
     _atomic_write(out.with_suffix(out.suffix + ".manifest.json"),
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")

@@ -177,44 +177,3 @@ def evaluate_objective(spec: ProblemSpec, x, *, screened: bool = False) -> float
     if total == INF:
         return INF
     return total + spec.h.value(spec.A.apply(x))
-
-
-@dataclass(frozen=True)
-class CocoercivityReport:
-    ok: bool
-    worst_ratio: float
-
-
-def check_cocoercivity(
-    term: SmoothTerm,
-    samples: int,
-    dim: int,
-    rng_seed: int = 0,
-    scale: float = 1.0,
-    slack: float = 1e-12,
-) -> CocoercivityReport:
-    """Sample random pairs and test <dx, dgrad> >= beta * ||dgrad||^2.
-
-    Returns whether the inequality held for every pair (with ``slack``
-    absolute tolerance) and the worst observed ratio <dx,dgrad>/||dgrad||^2.
-    A sampling check, not a certificate: it can expose a wrong beta but
-    cannot prove a correct one.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = np.random.default_rng(rng_seed)
-    ok = True
-    worst = INF
-    for _ in range(samples):
-        x1 = scale * rng.standard_normal(dim)
-        x2 = scale * rng.standard_normal(dim)
-        dgrad = term.gradient(x1) - term.gradient(x2)
-        denom = float(dgrad @ dgrad)
-        if denom == 0.0:
-            continue
-        inner = float((x1 - x2) @ dgrad)
-        ratio = inner / denom
-        worst = min(worst, ratio)
-        if inner < term.beta * denom - slack:
-            ok = False
-    return CocoercivityReport(ok=ok, worst_ratio=worst)

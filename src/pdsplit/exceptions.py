@@ -57,12 +57,12 @@ class HypothesisViolationError(PdsplitError, ValueError):
 
 
 class ConfigParseError(PdsplitError, ValueError):
-    """A run-configuration file could not be parsed.
+    """A run configuration could not be parsed or holds a value the package rejects.
 
-    Carries the 1-based line and column of the offending token.
+    Carries the 1-based line and column of the offending token, when it has one.
     """
 
-    def __init__(self, message, line, column):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else f"line {line}, column {column}: {message}")
         self.line = line
         self.column = column

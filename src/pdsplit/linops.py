@@ -145,9 +145,6 @@ class ScaledIdentityOp(LinearMap):
 class ZeroOp(LinearMap):
     """The zero map (decouples the dual block entirely)."""
 
-    def __init__(self, in_dim: int, out_dim: int):
-        super().__init__(in_dim, out_dim)
-
     def norm_AAt_bound(self) -> float:
         return 0.0
 

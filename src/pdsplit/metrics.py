@@ -24,7 +24,14 @@ from .exceptions import (
 )
 from .linops import LinearMap
 
-# Relative band below zero inside which m_norm_sq is treated as roundoff.
+# Relative band below zero inside which m_norm_sq is treated as roundoff.  It
+# is sized for the rounding of the bracket ||s||^2 - gamma*delta*||A^T s||^2:
+# each dot product sums terms whose total is at most ||s||^2 (for t <= 1), so
+# the bracket errs by about (x_dim + s_dim)*eps*||s||^2 at most, which stays
+# inside 1e-10*||s||^2 up to x_dim + s_dim = 1e-10/eps, about 450,000; paper
+# scale (10,000 + 9,999) sits 22x below that.  The band is compared with
+# (gamma/delta) times the bracket, so on the bracket itself it is
+# 1e-10*delta/gamma: at paper scale (gamma = beta, lambda = 1/8) about 2.8e-3.
 _PSD_BAND = 1e-10
 
 
@@ -219,13 +226,6 @@ def ergodic_gap_bound_check(
     return GapCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
 
 
-def averagedness_alpha(gamma: float, beta: float) -> float:
-    """Averagedness constant 2*beta / (4*beta - gamma), valid for 0 < gamma < 2*beta."""
-    if not 0 < gamma < 2.0 * beta:
-        raise ValueError(f"need 0 < gamma < 2*beta, got gamma={gamma}, beta={beta}")
-    return 2.0 * beta / (4.0 * beta - gamma)
-
-
 def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> float:
     """Numerically certify the one-step averagedness inequality.
 
@@ -343,9 +343,6 @@ class ConvergenceRecord:
 
     def iters(self) -> np.ndarray:
         return np.array([r.iter for r in self.rows], dtype=int)
-
-    def objectives(self) -> np.ndarray:
-        return np.array([r.objective for r in self.rows])
 
     def residuals(self) -> np.ndarray:
         return np.array([r.residual_im for r in self.rows])

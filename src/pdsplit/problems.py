@@ -8,6 +8,7 @@ across runs and machines.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -31,7 +32,7 @@ def quadratic_distance_term(c) -> SmoothTerm:
     """f(x) = ||x - c||^2 / 2; the gradient is x - c, cocoercive with beta = 1."""
     c = np.asarray(c, dtype=float)
     return SmoothTerm(
-        value=lambda x: 0.5 * float((x - c) @ (x - c)),
+        value=lambda x: 0.5 * float(np.vdot(x - c, x - c)),
         gradient=lambda x: x - c,
         beta=1.0,
     )
@@ -68,9 +69,9 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
         return A @ x - b
 
     def value_from_residual(r, x):
-        out = 0.5 * float(r @ r)
+        out = 0.5 * float(np.vdot(r, r))
         if ridge:
-            out += ridge * float(x @ x)
+            out += ridge * float(np.vdot(x, x))
         return out
 
     def gradient(x):
@@ -283,6 +284,22 @@ class ReferenceSolution:
     instance_key: str
 
 
+@contextlib.contextmanager
+def atomic_file(path: Path, mode: str = "w"):
+    """A temporary file in ``path``'s directory that replaces ``path`` when the
+    block ends; if the block or the rename fails, the temporary file is removed."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def cache_directory(cache_dir=None) -> Path:
     if cache_dir is not None:
         return Path(cache_dir)
@@ -322,9 +339,7 @@ def reference_solution(
     """
     if iters < 1:
         raise ValueError("iters must be positive")
-    directory = cache_directory(cache_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / f"ref-{instance.instance_key}-{iters}.npz"
+    path = cache_directory(cache_dir) / f"ref-{instance.instance_key}-{iters}.npz"
 
     gamma = 1.5 * instance.beta
     norm = instance.norm_AAt
@@ -345,16 +360,7 @@ def reference_solution(
         x=state.x, s=state.s, objective=record.metadata["final_objective"],
         iters=iters, gamma=gamma, delta=delta, instance_key=instance.instance_key,
     )
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".npz.tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez(
-                fh, x=ref.x, s=ref.s, objective=ref.objective, iters=iters,
-                gamma=gamma, delta=delta, instance_key=instance.instance_key,
-            )
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
+    with atomic_file(path, "wb") as fh:
+        np.savez(fh, x=ref.x, s=ref.s, objective=ref.objective, iters=iters,
+                 gamma=gamma, delta=delta, instance_key=instance.instance_key)
     return ref

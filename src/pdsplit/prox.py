@@ -8,9 +8,6 @@ truth.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
-
 import numpy as np
 
 from .core import INF, ProxTerm
@@ -55,46 +52,6 @@ def prox_conjugate(h: ProxTerm, v, delta: float) -> np.ndarray:
     _check_positive(delta=delta)
     v = np.asarray(v, dtype=float)
     return v - delta * h.prox(v / delta, 1.0 / delta)
-
-
-def _probe_directions(dim: int) -> np.ndarray:
-    """±coordinate directions plus 8 fixed random unit vectors seeded by dim."""
-    eye = np.eye(dim)
-    probes = [eye, -eye]
-    rng = np.random.default_rng(dim)
-    extra = rng.standard_normal((8, dim))
-    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    probes.append(extra)
-    return np.vstack(probes)
-
-
-def prox_optimality_residual(term: ProxTerm, v, t: float, eps: float = 1e-4) -> float:
-    """Certify that term.prox(v, t) minimizes t*g(y) + ||y - v||^2 / 2.
-
-    Probes the objective along a fixed direction set at step ``eps`` and
-    returns the largest observed improvement per unit step,
-    max_d [F(p) - F(p + eps*d)] / eps, floored at 0.  A residual near 0
-    certifies (first-order) minimality; a broken prox shows up at the scale
-    of its gradient error.
-    """
-    _check_positive(t=t, eps=eps)
-    v = np.asarray(v, dtype=float)
-    p = term.prox(v, t)
-
-    def objective(y):
-        val = term.value(y)
-        if val == INF:
-            return INF
-        return t * val + 0.5 * float((y - v) @ (y - v))
-
-    base = objective(p)
-    worst = 0.0
-    for d in _probe_directions(v.shape[0]):
-        trial = objective(p + eps * d)
-        if trial == INF:
-            continue
-        worst = max(worst, (base - trial) / eps)
-    return worst
 
 
 # --- catalog -----------------------------------------------------------------
@@ -152,26 +109,3 @@ def zero_prox() -> ProxTerm:
         conjugate_value=conj,
         is_zero=True,
     )
-
-
-@dataclass(frozen=True)
-class ProxCatalogEntry:
-    """Named builder + parameters, so property tests can sweep the catalog."""
-
-    name: str
-    builder: Callable[..., ProxTerm]
-    params: dict = field(default_factory=dict)
-    finite_valued: bool = True  # false for indicators (prox -> identity limit fails)
-
-    def make(self) -> ProxTerm:
-        return self.builder(**self.params)
-
-
-CATALOG: tuple[ProxCatalogEntry, ...] = (
-    ProxCatalogEntry("l1", l1, {"mu": 1.0}),
-    ProxCatalogEntry("l1_heavy", l1, {"mu": 20.0}),
-    ProxCatalogEntry("half_sq_l2", squared_l2, {"mu": 0.5}),
-    ProxCatalogEntry("sq_l2", squared_l2, {"mu": 2.0}),
-    ProxCatalogEntry("nonneg", nonneg_indicator, {}, finite_valued=False),
-    ProxCatalogEntry("zero", zero_prox, {}, finite_valued=False),
-)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import pdsplit.algorithms as alg
+from oracle_checks import CATALOG, prox_optimality_residual
 from pdsplit.algorithms import (
     StepSizes,
     fixed_point_from_primal_dual,
@@ -32,7 +33,7 @@ from pdsplit.metrics import (
     m_norm_sq,
 )
 from pdsplit.problems import least_squares_term, quadratic_distance_term
-from pdsplit.prox import CATALOG, l1, prox_conjugate, prox_optimality_residual, zero_prox
+from pdsplit.prox import l1, prox_conjugate, zero_prox
 
 
 def report(criterion, detail):

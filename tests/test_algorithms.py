@@ -979,15 +979,6 @@ class TestStopReason:
         assert rec.metadata["converged"] is False
         assert rec.metadata["iterations"] == 30
 
-    def test_objective_tol(self, small_fused_lasso):
-        inst = small_fused_lasso
-        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
-                    max_iters=5000, residual_tol=0.0, objective_tol=1e-10,
-                    norm_AAt=inst.norm_AAt)
-        assert rec.metadata["stop_reason"] == "objective_tol"
-        assert rec.metadata["converged"] is False
-        assert rec.metadata["iterations"] < 5000
-
 
 class TestInitialState:
     def test_papc_primal_equals_auxiliary(self, rng):
@@ -1012,15 +1003,6 @@ class TestInitialState:
         expected = (2.0 * state.x - z0 - steps.gamma * state.grad_f
                     - steps.gamma * spec.A.adjoint_apply(s0))
         np.testing.assert_allclose(state.xbar, expected, atol=1e-15)
-
-
-class TestSecondaryStopping:
-    def test_objective_tolerance_stops_early(self, small_fused_lasso):
-        inst = small_fused_lasso
-        steps = StepSizes.from_lambda(inst.beta, 0.125)
-        rec = solve(inst.spec, "pd3o", steps, max_iters=5000, residual_tol=0.0,
-                    objective_tol=1e-10, norm_AAt=inst.norm_AAt)
-        assert rec.metadata["iterations"] < 5000
 
 
 class TestStateValidation:

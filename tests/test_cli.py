@@ -1,8 +1,11 @@
 import csv
 import json
 import os
+import queue
 import re
+import sys
 import threading
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -276,6 +279,42 @@ class TestCompareCommand:
         assert reason in err
         assert sorted(os.listdir(tmp_path)) in ([], ["grid.cells"])
 
+    def test_an_error_outcome_ends_all_claiming(self):
+        todo, cells = queue.SimpleQueue(), [Future() for _ in range(4)]
+        for i in range(4):
+            todo.put(i)
+        assert [cli._claim(todo), cli._claim(todo)] == [0, 1]
+        cli._settle(todo, cells[0], ("ran", {}, ""))
+        assert cli._claim(todo) == 2
+        cli._settle(todo, cells[1], ("error", "helper process failed", ""))
+        assert cli._claim(todo) is None
+        assert cells[1].result()[0] == "error"
+        assert not cells[2].done() and not cells[3].done()
+
+    def test_concurrent_claims_take_every_cell_once(self):
+        todo, cells, claimed = queue.SimpleQueue(), [Future() for _ in range(2000)], []
+        for i in range(len(cells)):
+            todo.put(i)
+
+        def claimant():
+            while (i := cli._claim(todo)) is not None:
+                claimed.append(i)
+                cli._settle(todo, cells[i], ("ran", {}, ""))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=claimant) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(claimed) == list(range(len(cells)))
+        assert all(cell.done() for cell in cells)
+
     def test_helper_count_is_one_fewer_than_the_processes(self):
         # min(cells, cpus) processes run a grid, the caller one of them
         assert [cli._helper_count(cells, cpus) for cells, cpus in
@@ -428,6 +467,40 @@ class TestMainEntry:
         assert code == EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--gamma-factor", "0"],
+        ["compare", "--gamma-factors", "0"],
+        ["validate", "--lambda", "-1"],
+        ["validate", "--theta", "0"],
+        ["validate", "--n", "1"],
+        ["run", "--max-iters", "0"],
+        ["compare", "--algorithms", "pd3o,bogus"],
+    ])
+    def test_rejected_setup_values_are_config_errors(self, tmp_path, capsys, argv):
+        assert main([*argv, "--output", str(tmp_path / "x.csv")]) == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == []
+
+    def test_a_value_error_inside_a_solve_surfaces(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError("inside the solve")
+
+        monkeypatch.setattr(cli, "_solve", broken)
+        with pytest.raises(ValueError, match="inside the solve"):
+            main(["run", "--problem", "toy-quadratic", "--n", "4",
+                  "--output", str(tmp_path / "x.csv")])
+
+    def test_a_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch, capsys):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(["run", "--problem", "toy-quadratic", "--n", "4", "--max-iters", "5",
+                     "--output", str(tmp_path / "x.csv")]) == EXIT_PARSE
+        assert "rename refused" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
 
 
 class TestBottomSweep:

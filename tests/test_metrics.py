@@ -21,7 +21,6 @@ from pdsplit.metrics import (
     GapCheck,
     IterationRow,
     MNormContext,
-    averagedness_alpha,
     averagedness_inequality_check,
     combined_norm,
     combined_norm_sq,
@@ -204,12 +203,6 @@ class TestErgodicGap:
 
 
 class TestAveragedness:
-    def test_alpha_values(self):
-        assert averagedness_alpha(1e-12, 1.0) == pytest.approx(0.5)
-        assert averagedness_alpha(1.0, 1.0) == pytest.approx(2.0 / 3.0)
-        with pytest.raises(ValueError):
-            averagedness_alpha(2.0, 1.0)
-
     def test_identical_pair_has_zero_slack(self, rng):
         m = rng.standard_normal((4, 6)) / 2.0
         spec = ProblemSpec(f=least_squares_term(m, rng.standard_normal(4)),

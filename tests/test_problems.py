@@ -1,13 +1,18 @@
+import math
+import os
+import warnings
+
 import numpy as np
 import pytest
 
+from oracle_checks import sample_cocoercivity
 from pdsplit.algorithms import (
     StepSizes,
     fixed_point_from_primal_dual,
     fixed_point_residuals,
     solve,
 )
-from pdsplit.core import check_cocoercivity, evaluate_objective
+from pdsplit.core import evaluate_objective
 from pdsplit.linops import estimate_norm_AAt
 from pdsplit.metrics import linear_rate_rho
 from pdsplit.problems import (
@@ -15,6 +20,7 @@ from pdsplit.problems import (
     gen_fused_lasso,
     gen_toy_quadratic,
     least_squares_term,
+    quadratic_distance_term,
     reference_solution,
 )
 
@@ -53,9 +59,9 @@ class TestFusedLassoGenerator:
         assert set(np.unique(inst.x_true)) <= {-1.0, 0.0, 1.0}
 
     def test_declared_beta_is_cocoercive(self, small_fused_lasso):
-        report = check_cocoercivity(small_fused_lasso.spec.f, samples=50,
+        ok, _ = sample_cocoercivity(small_fused_lasso.spec.f, samples=50,
                                     dim=small_fused_lasso.spec.x_dim, rng_seed=3)
-        assert report.ok
+        assert ok
 
     def test_difference_norm_matches_cosine_formula(self, small_fused_lasso):
         p = small_fused_lasso.spec.x_dim
@@ -123,9 +129,9 @@ class TestElasticNetGenerator:
         assert res.dual <= 1e-10
 
     def test_cocoercivity_of_ridge_term(self, ridge_instance):
-        report = check_cocoercivity(ridge_instance.spec.f, samples=100,
+        ok, _ = sample_cocoercivity(ridge_instance.spec.f, samples=100,
                                     dim=ridge_instance.spec.x_dim, rng_seed=4)
-        assert report.ok
+        assert ok
 
 
 class TestLeastSquaresTerm:
@@ -150,6 +156,14 @@ class TestLeastSquaresTerm:
         f.gradient(unrelated)
         f.gradient(x)
         assert f.value(older) == fresh(older)  # evicted, recomputed
+
+    def test_value_at_a_huge_point_warns_no_overflow(self):
+        f = least_squares_term(np.eye(3), np.zeros(3), ridge=0.5, beta=1.0)
+        big = np.full(3, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert f.value(big) == math.inf
+            assert quadratic_distance_term(np.zeros(3)).value(big) == math.inf
 
     def test_gradient_is_unchanged(self, rng):
         A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
@@ -192,6 +206,15 @@ class TestReferenceSolution:
         assert list(tmp_path.iterdir()) == [path]  # rebuilt in place, no temp file left
         with np.load(path) as data:
             np.testing.assert_array_equal(data["x"], ref1.x)
+
+    def test_a_failed_cache_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            reference_solution(gen_toy_quadratic(dim=7, seed=4), iters=40, cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_cache_distinguishes_iteration_count(self, tmp_path):
         inst = gen_toy_quadratic(dim=7, seed=4)

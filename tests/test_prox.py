@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
+from oracle_checks import CATALOG, prox_optimality_residual
 from pdsplit.core import INF, ProxTerm
 from pdsplit.prox import (
-    CATALOG,
     l1,
     nonneg_indicator,
     prox_conjugate,
     prox_l1,
-    prox_optimality_residual,
     prox_sq_l2,
     project_nonneg,
     squared_l2,
