@@ -7,7 +7,7 @@ gradient at the new point,
     s+ = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
     z+ = x - gamma*grad f(x) - gamma*A^T s+,    x+ = prox_{gamma g}(z+).
 
-The schemes differ only in the next extrapolated point (``EXTRAPOLATIONS``):
+The schemes differ only in the next extrapolated point:
 
     pd3o               2 x+ - z+ - gamma*grad f(x+) - gamma*A^T s+
     pd3o-reformulated  2 x+ - x + gamma*grad f(x) - gamma*grad f(x+)
@@ -24,6 +24,9 @@ and only pd3o relaxes (theta != 1).  By Moreau, the davis-yin row is the
 three-operator step z+ = z + prox_{gamma h}(w) - x, w = 2x - z - gamma*grad f(x).
 AFBA keeps its own step: it takes the gradient at a point formed after s+ and
 none at its carried x, two branches the shared step would serve for it alone.
+
+``SCHEMES`` holds one row per scheme: its xbar rule and start, what it
+requires of the problem, its step-size conditions and its g-prox calls.
 
 Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
 chosen step into a stopping rule and per-iteration diagnostics collected into
@@ -175,23 +178,27 @@ def _require_fields(state: SolverState, names: tuple, scheme: str):
                 f"the {scheme} step needs state.{name}; start from initial_state()")
 
 
-# --- the shared primal-dual step and its extrapolation table --------------------
+# --- the scheme table ----------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Extrapolation:
-    """One row of the xbar table: the scheme's rules and the problems it accepts.
+class Scheme:
+    """One row of ``SCHEMES``: everything that sets one scheme apart.
 
-    ``rule(spec, gamma, prev, nxt, ats)`` gives xbar+ from the states before
-    and after the step (nxt.xbar not yet set) and ats = A^T s+.  ``start``
-    reads only nxt and ats, so it also gives xbar0 from the initial state.
-    ``g_prox`` is how many g-prox calls one ``rule`` or ``start`` call makes.
+    ``conditions`` are the step-size conditions, checked in order, each
+    (what, value(t, r, lam), relation to 1).  ``rule(spec, gamma, prev, nxt,
+    ats)`` gives xbar+ from the states before and after the shared step
+    (nxt.xbar not yet set) and ats = A^T s+; ``start`` reads only nxt and ats,
+    so it also gives xbar0 from the initial state.  A row without them keeps
+    its own step.  ``needs`` is what the step requires, checked in order, and
+    ``g_prox`` the g-prox calls of the start and of one pass.
     """
 
-    rule: Callable
-    start: Callable
-    needs: tuple = _PLAIN  # what the step requires, checked in order
-    g_prox: int = 0
+    conditions: tuple
+    rule: Callable | None = None
+    start: Callable | None = None
+    needs: tuple = _PLAIN
+    g_prox: tuple = (1, 1)
 
 
 def _pd3o_point(spec, gamma, prev, nxt, ats):
@@ -210,15 +217,28 @@ def _forward_backward_point(spec, gamma, prev, nxt, ats):
     return spec.g.prox(nxt.x - gamma * nxt.grad_f - gamma * ats, gamma)
 
 
-EXTRAPOLATIONS: dict[AlgorithmId, Extrapolation] = {
-    AlgorithmId.PD3O: Extrapolation(_pd3o_point, _pd3o_point, ()),
-    AlgorithmId.PD3O_REFORMULATED: Extrapolation(
-        _gradient_corrected_reflection, _pd3o_point, (_UNRELAXED,)),
-    AlgorithmId.CONDAT_VU: Extrapolation(_reflection, _pd3o_point),
-    AlgorithmId.CHAMBOLLE_POCK: Extrapolation(_reflection, _pd3o_point, (_ZERO_F, *_PLAIN)),
-    AlgorithmId.PDFP: Extrapolation(_forward_backward_point, _forward_backward_point, g_prox=1),
-    AlgorithmId.PAPC: Extrapolation(_pd3o_point, _pd3o_point, (_ZERO_G, *_PLAIN)),
-    AlgorithmId.DAVIS_YIN: Extrapolation(_pd3o_point, _pd3o_point, (_IDENTITY, *_PLAIN)),
+_T_BELOW = ("gamma*delta*||AA^T||", lambda t, r, lam: t, "<")
+_R_BELOW = ("gamma/(2 beta)", lambda t, r, lam: r, "<")
+_T_AND_R = (_T_BELOW, _R_BELOW)
+_T_AT_MOST = (("gamma*delta*||AA^T||", lambda t, r, lam: t, "<="),)
+
+SCHEMES: dict[AlgorithmId, Scheme] = {
+    AlgorithmId.PD3O: Scheme(_T_AND_R, _pd3o_point, _pd3o_point, ()),
+    AlgorithmId.PD3O_REFORMULATED: Scheme(
+        _T_AND_R, _gradient_corrected_reflection, _pd3o_point, (_UNRELAXED,)),
+    AlgorithmId.CHAMBOLLE_POCK: Scheme(_T_AT_MOST, _reflection, _pd3o_point,
+                                       (_ZERO_F, *_PLAIN)),
+    AlgorithmId.PAPC: Scheme(_T_AND_R, _pd3o_point, _pd3o_point, (_ZERO_G, *_PLAIN)),
+    AlgorithmId.DAVIS_YIN: Scheme((("gamma*delta", lambda t, r, lam: lam, "="), _R_BELOW),
+                                  _pd3o_point, _pd3o_point, (_IDENTITY, *_PLAIN)),
+    AlgorithmId.PDFP: Scheme(_T_AND_R, _forward_backward_point, _forward_backward_point,
+                             g_prox=(2, 2)),
+    AlgorithmId.CONDAT_VU: Scheme(
+        (("gamma*delta*||AA^T|| + gamma/(2 beta)", lambda t, r, lam: t + r, "<="),),
+        _reflection, _pd3o_point),
+    AlgorithmId.AFBA: Scheme((("t/2 + sqrt(t/2)/2 + gamma/(2 beta)",
+                               lambda t, r, lam: 0.5 * t + 0.5 * math.sqrt(0.5 * t) + r,
+                               "<="),), g_prox=(2, 1)),
 }
 
 
@@ -247,7 +267,7 @@ def initial_state(
         xbar0 = spec.g.prox(w0, gamma)
         # the prox output is the iterate the scheme carries forward
         return SolverState(z=w0, s=s0, x=xbar0, xbar=xbar0, ats=state.ats)
-    state.xbar = EXTRAPOLATIONS[algorithm].start(spec, gamma, None, state, state.ats)
+    state.xbar = SCHEMES[algorithm].start(spec, gamma, None, state, state.ats)
     return state
 
 
@@ -257,15 +277,15 @@ def initial_state(
 def primal_dual_step(
     state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId
 ) -> SolverState:
-    """One pass of the shared skeleton, closed by ``scheme``'s xbar+ rule.
+    """One pass of the shared skeleton, closed by the xbar+ rule of ``scheme``'s row.
 
     With theta != 1 (pd3o only), (z+, s+) and A^T s+ are relaxed toward
     (z, s) and A^T s before the g-prox, so the result is the state at
     theta*T(z, s) + (1 - theta)*(z, s).  A state lacking xbar, A^T s or the
     gradient raises ``AlgorithmMisuseError``.
     """
-    ext = EXTRAPOLATIONS[scheme]
-    _require(ext.needs, spec, steps, scheme.value)
+    row = SCHEMES[scheme]
+    _require(row.needs, spec, steps, scheme.value)
     _require_fields(state, ("xbar", "ats", "grad_f"), scheme.value)
     gamma, delta, theta = steps.gamma, steps.delta, steps.theta
 
@@ -281,17 +301,8 @@ def primal_dual_step(
         ats = state.ats + theta * (ats - state.ats)
     x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
     nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next), ats=ats)
-    nxt.xbar = _ensure_finite(ext.rule(spec, gamma, state, nxt, ats), "xbar-update")
+    nxt.xbar = _ensure_finite(row.rule(spec, gamma, state, nxt, ats), "xbar-update")
     return nxt
-
-
-pd3o_step = partial(primal_dual_step, scheme=AlgorithmId.PD3O)
-pd3o_step_reformulated = partial(primal_dual_step, scheme=AlgorithmId.PD3O_REFORMULATED)
-chambolle_pock_step = partial(primal_dual_step, scheme=AlgorithmId.CHAMBOLLE_POCK)
-pdfp_step = partial(primal_dual_step, scheme=AlgorithmId.PDFP)
-condat_vu_step = partial(primal_dual_step, scheme=AlgorithmId.CONDAT_VU)
-papc_step = partial(primal_dual_step, scheme=AlgorithmId.PAPC)
-davis_yin_step = partial(primal_dual_step, scheme=AlgorithmId.DAVIS_YIN)
 
 
 def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
@@ -304,7 +315,7 @@ def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> Solver
     The carried iterate (state.x) is the prox output xbar; A^T s comes from
     the state, so a pass applies A^T once.
     """
-    _require(_PLAIN, spec, steps, "afba")
+    _require(SCHEMES[AlgorithmId.AFBA].needs, spec, steps, "afba")
     _require_fields(state, ("xbar", "ats"), "afba")
     gamma, delta = steps.gamma, steps.delta
 
@@ -318,15 +329,11 @@ def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> Solver
     return SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
 
 
+# Each scheme's step, looked up by ``solve`` at call time: the shared step for
+# a row with an xbar rule, AFBA's own step for the row without one.
 STEP_FUNCTIONS: dict[AlgorithmId, Callable] = {
-    AlgorithmId.PD3O: pd3o_step,
-    AlgorithmId.PD3O_REFORMULATED: pd3o_step_reformulated,
-    AlgorithmId.CHAMBOLLE_POCK: chambolle_pock_step,
-    AlgorithmId.PAPC: papc_step,
-    AlgorithmId.DAVIS_YIN: davis_yin_step,
-    AlgorithmId.PDFP: pdfp_step,
-    AlgorithmId.CONDAT_VU: condat_vu_step,
-    AlgorithmId.AFBA: afba_step,
+    scheme: afba_step if row.rule is None else partial(primal_dual_step, scheme=scheme)
+    for scheme, row in SCHEMES.items()
 }
 
 
@@ -343,28 +350,12 @@ class StepSizeVerdict:
         return self.valid
 
 
-# Each scheme's conditions, checked in order: (what, value(t, r, lam), relation to 1).
-_T_BELOW = ("gamma*delta*||AA^T||", lambda t, r, lam: t, "<")
-_R_BELOW = ("gamma/(2 beta)", lambda t, r, lam: r, "<")
-CONDITIONS: dict[AlgorithmId, tuple] = {
-    AlgorithmId.PD3O: (_T_BELOW, _R_BELOW),
-    AlgorithmId.PD3O_REFORMULATED: (_T_BELOW, _R_BELOW),
-    AlgorithmId.PDFP: (_T_BELOW, _R_BELOW),
-    AlgorithmId.PAPC: (_T_BELOW, _R_BELOW),
-    AlgorithmId.CONDAT_VU: (
-        ("gamma*delta*||AA^T|| + gamma/(2 beta)", lambda t, r, lam: t + r, "<="),),
-    AlgorithmId.AFBA: (("t/2 + sqrt(t/2)/2 + gamma/(2 beta)",
-                        lambda t, r, lam: 0.5 * t + 0.5 * math.sqrt(0.5 * t) + r, "<="),),
-    AlgorithmId.CHAMBOLLE_POCK: (("gamma*delta*||AA^T||", lambda t, r, lam: t, "<="),),
-    AlgorithmId.DAVIS_YIN: (("gamma*delta", lambda t, r, lam: lam, "="), _R_BELOW),
-}
-
-
 def validate_stepsizes(
     algorithm: AlgorithmId, steps: StepSizes, beta: float, norm_AAt: float
 ) -> StepSizeVerdict:
-    """Check (gamma, delta) against the scheme's row of ``CONDITIONS``, stated
-    in t = gamma*delta*||A A^T|| and r = gamma/(2 beta) (the README lists them).
+    """Check (gamma, delta) against the conditions of the scheme's row of
+    ``SCHEMES``, stated in t = gamma*delta*||A A^T|| and r = gamma/(2 beta)
+    (the README lists them).
 
     Strict bounds are exact.  Non-strict ones and the equality hold up to
     ``core.ROUNDING_SLACK`` (``at_most``), so exact-boundary configurations
@@ -377,7 +368,7 @@ def validate_stepsizes(
     t = steps.lam * norm_AAt
     r = 0.0 if beta == INF else steps.gamma / (2.0 * beta)
     details = {"t": t, "r": r}
-    for what, value, relation in CONDITIONS[algorithm]:
+    for what, value, relation in SCHEMES[algorithm].conditions:
         v = value(t, r, steps.lam)
         if not _RELATIONS[relation](v):
             return StepSizeVerdict(False, f"{what} = {v!r} must be {relation} 1", details)
@@ -427,16 +418,14 @@ def oracle_calls(spec: ProblemSpec, algorithm: AlgorithmId, passes: int,
                  started: bool) -> dict:
     """The oracle calls of ``passes`` steps, after ``initial_state`` if ``started``.
 
-    A pass calls grad f, the g-prox, the h*-prox, A and A^T once each, and
-    grad l* once when l* != 0; the start calls grad f, the g-prox and A^T.  The
-    row's xbar rule adds its ``g_prox`` to both; AFBA's xbar0 adds one at start.
+    A pass calls grad f, the h*-prox, A and A^T once each, and grad l* once
+    when l* != 0; the start calls grad f and A^T.  The g-prox calls of the
+    start and of a pass are the scheme's row's ``g_prox``.
     """
     start = int(started)
-    if algorithm is AlgorithmId.AFBA:
-        g_prox = 2 * start + passes
-    else:
-        g_prox = (start + passes) * (1 + EXTRAPOLATIONS[algorithm].g_prox)
-    return {"f_grad": start + passes, "g_prox": g_prox, "h_prox": passes,
+    g_start, g_pass = SCHEMES[algorithm].g_prox
+    return {"f_grad": start + passes, "g_prox": start * g_start + passes * g_pass,
+            "h_prox": passes,
             "lstar_grad": 0 if spec.lstar.is_zero else passes,
             "a_apply": passes, "a_adjoint": start + passes}
 

@@ -24,14 +24,13 @@ from .exceptions import (
 )
 from .linops import LinearMap
 
-# Relative band below zero inside which m_norm_sq is treated as roundoff.  It
-# is sized for the rounding of the bracket ||s||^2 - gamma*delta*||A^T s||^2:
-# each dot product sums terms whose total is at most ||s||^2 (for t <= 1), so
-# the bracket errs by about (x_dim + s_dim)*eps*||s||^2 at most, which stays
-# inside 1e-10*||s||^2 up to x_dim + s_dim = 1e-10/eps, about 450,000; paper
-# scale (10,000 + 9,999) sits 22x below that.  The band is compared with
-# (gamma/delta) times the bracket, so on the bracket itself it is
-# 1e-10*delta/gamma: at paper scale (gamma = beta, lambda = 1/8) about 2.8e-3.
+# Relative band below zero inside which the bracket ||s||^2 - gamma*delta*||A^T s||^2
+# of m_norm_sq is treated as roundoff.  Each dot product sums terms whose total
+# is at most ||s||^2 (for t <= 1), so the bracket errs by about
+# (x_dim + s_dim)*eps*||s||^2 at most, which stays inside 1e-10*||s||^2 up to
+# x_dim + s_dim = 1e-10/eps, about 450,000; paper scale (10,000 + 9,999) sits
+# 22x below that.  The band applies to the bracket before the gamma/delta
+# scaling, so it does not widen or narrow with the step ratio.
 _PSD_BAND = 1e-10
 
 
@@ -63,22 +62,22 @@ class MNormContext:
 def m_norm_sq(ctx: MNormContext, s) -> float:
     """<s, M s> computed matrix-free as (gamma/delta)(||s||^2 - gamma*delta*||A^T s||^2).
 
-    Values inside [-1e-10 * ||s||^2, 0] are clamped to 0 (roundoff at the
+    A bracket inside [-1e-10 * ||s||^2, 0] is clamped to 0 (roundoff at the
     semidefinite boundary); anything below that band means M is not PSD and
     raises ``GeometryViolationError``.
     """
     s = np.asarray(s, dtype=float)
     ss = float(np.vdot(s, s))
     ats = ctx.A.adjoint_apply(s)
-    val = (ctx.gamma / ctx.delta) * (ss - ctx.gamma * ctx.delta * float(np.vdot(ats, ats)))
-    if val < 0.0:
-        if val < -_PSD_BAND * ss:
+    bracket = ss - ctx.gamma * ctx.delta * float(np.vdot(ats, ats))
+    if bracket < 0.0:
+        if bracket < -_PSD_BAND * ss:
             raise GeometryViolationError(
-                f"<s, M s> = {val} < 0: M is not positive semidefinite; "
-                "the step sizes violate gamma*delta*||A A^T|| <= 1"
+                f"<s, M s> = {(ctx.gamma / ctx.delta) * bracket} < 0: M is not positive "
+                "semidefinite; the step sizes violate gamma*delta*||A A^T|| <= 1"
             )
         return 0.0
-    return val
+    return (ctx.gamma / ctx.delta) * bracket
 
 
 def combined_norm_sq(ctx: MNormContext, z, s) -> float:
@@ -239,7 +238,7 @@ def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> 
     contraction.  When f = 0 (beta = inf) the coefficient becomes 1 and the
     same expression is the firm-nonexpansiveness inequality.
     """
-    from .algorithms import initial_state, pd3o_step  # local import: avoids cycle
+    from .algorithms import AlgorithmId, initial_state, primal_dual_step  # avoids a cycle
 
     steps = replace(steps, theta=1.0)
     beta = spec.beta
@@ -250,8 +249,8 @@ def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> 
     for (z1, s1), (z2, s2) in pairs:
         st1 = initial_state(spec, steps, "pd3o", z1, s1)
         st2 = initial_state(spec, steps, "pd3o", z2, s2)
-        out1 = pd3o_step(st1, spec, steps)
-        out2 = pd3o_step(st2, spec, steps)
+        out1 = primal_dual_step(st1, spec, steps, AlgorithmId.PD3O)
+        out2 = primal_dual_step(st2, spec, steps, AlgorithmId.PD3O)
         out_diff = combined_norm_sq(ctx, out1.z - out2.z, out1.s - out2.s)
         in_diff = combined_norm_sq(ctx, st1.z - st2.z, st1.s - st2.s)
         disp = combined_norm_sq(

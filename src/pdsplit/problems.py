@@ -38,12 +38,11 @@ def quadratic_distance_term(c) -> SmoothTerm:
     )
 
 
-def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> SmoothTerm:
+def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     """f(x) = ||A x - b||^2 / 2 + ridge * ||x||^2, with a declared beta.
 
-    When ``beta`` is omitted it is 1 / (B + 2*ridge), with B the certified
-    upper bound on ||A^T A|| from ``DenseMatrixOp.norm_AAt_bound``, so the
-    declared cocoercivity holds.
+    beta is 1 / (B + 2*ridge), with B the certified upper bound on ||A^T A||
+    from ``DenseMatrixOp.norm_AAt_bound``, so the declared cocoercivity holds.
 
     The gradient keeps a copy of its two latest points with their residuals
     r = A x - b.  ``residual`` returns the stored r at a point exactly equal
@@ -56,9 +55,7 @@ def least_squares_term(A, b, ridge: float = 0.0, beta: float | None = None) -> S
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    if beta is None:
-        lip = DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge
-        beta = 1.0 / lip
+    beta = 1.0 / (DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge)
     # ((x copy, residual), ...) newest first; replaced whole, never edited
     memo: tuple = ()
 
@@ -245,7 +242,7 @@ def gen_elastic_net_strongly_convex(
         A=ScaledIdentityOp(p, a_scale),
     )
     return ElasticNetInstance(
-        spec=spec, beta=f.beta, norm_AAt=a_scale**2, descriptor=descriptor,
+        spec=spec, beta=f.beta, norm_AAt=spec.A.norm_AAt_bound(), descriptor=descriptor,
         instance_key=_instance_key(descriptor), A=A, b=b, mu1=mu1, mu2=mu2,
         a_scale=a_scale, seed=seed,
         tau_f=lam_min + 2.0 * mu2, tau_g=0.0, tau_lstar=0.0,
@@ -265,7 +262,7 @@ def gen_toy_quadratic(dim: int = 10, seed: int = 0) -> ToyQuadraticInstance:
         lstar=zero_conjugate_smooth(), A=IdentityOp(dim),
     )
     return ToyQuadraticInstance(
-        spec=spec, beta=1.0, norm_AAt=1.0, descriptor=descriptor,
+        spec=spec, beta=1.0, norm_AAt=spec.A.norm_AAt_bound(), descriptor=descriptor,
         instance_key=_instance_key(descriptor), c=c, seed=seed,
     )
 

@@ -13,6 +13,7 @@ import pytest
 import pdsplit.algorithms as alg
 from oracle_checks import CATALOG, prox_optimality_residual
 from pdsplit.algorithms import (
+    AlgorithmId,
     StepSizes,
     fixed_point_from_primal_dual,
     initial_state,
@@ -69,9 +70,9 @@ def test_criterion_1_reduction_equivalence():
                           lstar=zero_conjugate_smooth(), A=DenseMatrixOp(B))
     steps = StepSizes.from_lambda(0.9, 0.5 / norm_B)
     dev_cp = deviation(
-        run(alg.pd3o_step, spec_f0, steps,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.PD3O], spec_f0, steps,
             initial_state(spec_f0, steps, "pd3o", z0, s0)),
-        run(alg.chambolle_pock_step, spec_f0, steps,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK], spec_f0, steps,
             initial_state(spec_f0, steps, "chambolle-pock", z0, s0)),
         ("x", "s"),
     )
@@ -84,9 +85,9 @@ def test_criterion_1_reduction_equivalence():
                           lstar=zero_conjugate_smooth(), A=DenseMatrixOp(B))
     steps_g0 = StepSizes.from_lambda(1.2 * spec_g0.beta, 0.5 / norm_B)
     dev_papc = deviation(
-        run(alg.pd3o_step, spec_g0, steps_g0,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.PD3O], spec_g0, steps_g0,
             initial_state(spec_g0, steps_g0, "pd3o", z0, s0)),
-        run(alg.papc_step, spec_g0, steps_g0,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.PAPC], spec_g0, steps_g0,
             initial_state(spec_g0, steps_g0, "papc", z0, s0)),
         ("x", "s"),
     )
@@ -101,9 +102,9 @@ def test_criterion_1_reduction_equivalence():
     steps_dy = StepSizes(gamma, 1.0 / gamma)
     z0p, s0p = rng.standard_normal(p), rng.standard_normal(p)
     dev_dy = deviation(
-        run(alg.pd3o_step, spec_dy, steps_dy,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.PD3O], spec_dy, steps_dy,
             initial_state(spec_dy, steps_dy, "pd3o", z0p, s0p)),
-        run(alg.davis_yin_step, spec_dy, steps_dy,
+        run(alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN], spec_dy, steps_dy,
             initial_state(spec_dy, steps_dy, "davis-yin", z0p, s0p)),
         ("z",),
     )

@@ -1,6 +1,7 @@
 import itertools
 import logging
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -56,10 +57,12 @@ def random_instance(rng, n=20, p=30, with_f=True, with_g=True):
     return spec, norm
 
 
-def run_steps(step_fn, state, spec, steps, k):
-    out = [state]
+def run_steps(algorithm, spec, steps, z0, s0, k):
+    """The initial state of ``algorithm`` at (z0, s0) and its next k states."""
+    step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+    out = [initial_state(spec, steps, algorithm, z0, s0)]
     for _ in range(k):
-        out.append(step_fn(out[-1], spec, steps))
+        out.append(step(out[-1], spec, steps))
     return out
 
 
@@ -94,7 +97,7 @@ class TestPd3oStep:
         inst = gen_toy_quadratic(dim=6, seed=5)
         steps = StepSizes.from_lambda(1.0, 0.5)
         state = initial_state(inst.spec, steps, "pd3o", inst.c, np.zeros(6))
-        nxt = alg.pd3o_step(state, inst.spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PD3O](state, inst.spec, steps)
         assert np.abs(nxt.z - state.z).max() <= 1e-12
         assert np.abs(nxt.s - state.s).max() <= 1e-12
 
@@ -108,7 +111,7 @@ class TestPd3oStep:
         steps = StepSizes(1.0, 1.0)
         state = initial_state(spec, steps, "pd3o", np.array([2.0]), np.zeros(1))
         assert state.x[0] == 2.0 and state.grad_f[0] == 2.0
-        nxt = alg.pd3o_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PD3O](state, spec, steps)
         assert nxt.s[0] == 0.0
         assert nxt.z[0] == 0.0
         assert nxt.x[0] == 0.0
@@ -134,21 +137,16 @@ class TestReductions:
         spec, norm = random_instance(rng, with_f=False)
         steps = StepSizes.from_lambda(0.9, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        pd = run_steps(alg.pd3o_step, initial_state(spec, steps, "pd3o", z0, s0),
-                       spec, steps, 100)
-        cp = run_steps(alg.chambolle_pock_step,
-                       initial_state(spec, steps, "chambolle-pock", z0, s0),
-                       spec, steps, 100)
+        pd = run_steps("pd3o", spec, steps, z0, s0, 100)
+        cp = run_steps("chambolle-pock", spec, steps, z0, s0, 100)
         assert max_deviation(pd, cp) <= 1e-10
 
     def test_papc_when_g_zero(self, rng):
         spec, norm = random_instance(rng, with_g=False)
         steps = StepSizes.from_lambda(1.2 * spec.beta, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        pd = run_steps(alg.pd3o_step, initial_state(spec, steps, "pd3o", z0, s0),
-                       spec, steps, 100)
-        papc = run_steps(alg.papc_step, initial_state(spec, steps, "papc", z0, s0),
-                         spec, steps, 100)
+        pd = run_steps("pd3o", spec, steps, z0, s0, 100)
+        papc = run_steps("papc", spec, steps, z0, s0, 100)
         assert max_deviation(pd, papc) <= 1e-10
 
     def test_davis_yin_z_sequence_when_identity(self, rng):
@@ -160,31 +158,24 @@ class TestReductions:
         gamma = spec.beta
         steps = StepSizes(gamma, 1.0 / gamma)
         z0, s0 = rng.standard_normal(p), rng.standard_normal(p)
-        pd = run_steps(alg.pd3o_step, initial_state(spec, steps, "pd3o", z0, s0),
-                       spec, steps, 100)
-        dy = run_steps(alg.davis_yin_step,
-                       initial_state(spec, steps, "davis-yin", z0, s0),
-                       spec, steps, 100)
+        pd = run_steps("pd3o", spec, steps, z0, s0, 100)
+        dy = run_steps("davis-yin", spec, steps, z0, s0, 100)
         assert max_deviation(pd, dy, attrs=("z",)) <= 1e-10
 
     def test_pdfp_reduces_to_papc(self, rng):
         spec, norm = random_instance(rng, with_g=False)
         steps = StepSizes.from_lambda(1.2 * spec.beta, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        papc = run_steps(alg.papc_step, initial_state(spec, steps, "papc", z0, s0),
-                         spec, steps, 100)
-        pdfp = run_steps(alg.pdfp_step, initial_state(spec, steps, "pdfp", z0, s0),
-                         spec, steps, 100)
+        papc = run_steps("papc", spec, steps, z0, s0, 100)
+        pdfp = run_steps("pdfp", spec, steps, z0, s0, 100)
         assert max_deviation(papc, pdfp) <= 1e-10
 
     def test_afba_reduces_to_papc(self, rng):
         spec, norm = random_instance(rng, with_g=False)
         steps = StepSizes.from_lambda(1.2 * spec.beta, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        papc = run_steps(alg.papc_step, initial_state(spec, steps, "papc", z0, s0),
-                         spec, steps, 100)
-        afba = run_steps(alg.afba_step, initial_state(spec, steps, "afba", z0, s0),
-                         spec, steps, 100)
+        papc = run_steps("papc", spec, steps, z0, s0, 100)
+        afba = run_steps("afba", spec, steps, z0, s0, 100)
         # afba carries the prox output; with g = 0 it equals papc's pre-prox
         # point, so compare duals directly and primals shifted by one report
         dev = max_deviation(papc, afba, attrs=("s",))
@@ -199,12 +190,8 @@ class TestReductions:
         spec, norm = random_instance(rng, with_f=False)
         steps = StepSizes.from_lambda(0.9, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        cp = run_steps(alg.chambolle_pock_step,
-                       initial_state(spec, steps, "chambolle-pock", z0, s0),
-                       spec, steps, 100)
-        cv = run_steps(alg.condat_vu_step,
-                       initial_state(spec, steps, "condat-vu", z0, s0),
-                       spec, steps, 100)
+        cp = run_steps("chambolle-pock", spec, steps, z0, s0, 100)
+        cv = run_steps("condat-vu", spec, steps, z0, s0, 100)
         assert max_deviation(cp, cv) <= 1e-10
 
 
@@ -213,11 +200,8 @@ class TestReformulated:
         spec, norm = random_instance(rng)
         steps = StepSizes.from_lambda(1.3 * spec.beta, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        plain = run_steps(alg.pd3o_step, initial_state(spec, steps, "pd3o", z0, s0),
-                          spec, steps, 100)
-        ref = run_steps(alg.pd3o_step_reformulated,
-                        initial_state(spec, steps, "pd3o-reformulated", z0, s0),
-                        spec, steps, 100)
+        plain = run_steps("pd3o", spec, steps, z0, s0, 100)
+        ref = run_steps("pd3o-reformulated", spec, steps, z0, s0, 100)
         assert max_deviation(plain, ref) <= 1e-10
 
     def test_extrapolation_without_f(self, rng):
@@ -225,7 +209,7 @@ class TestReformulated:
         steps = StepSizes.from_lambda(0.9, 0.5 / norm)
         state = initial_state(spec, steps, "pd3o-reformulated",
                               rng.standard_normal(30), rng.standard_normal(20))
-        nxt = alg.pd3o_step_reformulated(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PD3O_REFORMULATED](state, spec, steps)
         np.testing.assert_array_equal(nxt.xbar, 2.0 * nxt.x - state.x)
 
     def test_fixed_point_preserved(self):
@@ -233,7 +217,7 @@ class TestReformulated:
         steps = StepSizes.from_lambda(1.0, 0.5)
         z_star, s_star = inst.c, np.zeros(4)
         state = initial_state(inst.spec, steps, "pd3o-reformulated", z_star, s_star)
-        nxt = alg.pd3o_step_reformulated(state, inst.spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PD3O_REFORMULATED](state, inst.spec, steps)
         assert np.abs(nxt.x - state.x).max() <= 1e-12
         assert np.abs(nxt.s - state.s).max() <= 1e-12
 
@@ -244,7 +228,7 @@ class TestChambollePock:
         steps = StepSizes.from_lambda(0.9, 0.5 / norm)
         state = initial_state(spec, steps, "chambolle-pock")
         with pytest.raises(AlgorithmMisuseError):
-            alg.chambolle_pock_step(state, spec, steps)
+            alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](state, spec, steps)
 
     def test_scalar_hand_example(self):
         # g the indicator of {0}, h = (.)^2/2, gamma = delta = 0.5, from
@@ -257,7 +241,7 @@ class TestChambollePock:
         state = SolverState(z=np.array([1.0]), s=np.array([0.0]), x=np.array([1.0]),
                             xbar=np.array([1.0]))
         state.grad_f, state.ats = np.zeros(1), state.s.copy()  # f = 0 and A = I
-        nxt = alg.chambolle_pock_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](state, spec, steps)
         assert nxt.s[0] == pytest.approx(1.0 / 3.0)
         assert nxt.x[0] == 0.0
         assert nxt.xbar[0] == -1.0
@@ -270,7 +254,7 @@ class TestChambollePock:
         state = SolverState(z=x.copy(), s=rng.standard_normal(4), x=x.copy(),
                             xbar=x.copy())
         state.grad_f, state.ats = np.zeros(4), state.s.copy()  # f = 0 and A = I
-        nxt = alg.chambolle_pock_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](state, spec, steps)
         np.testing.assert_array_equal(nxt.s, np.zeros(4))
         np.testing.assert_array_equal(nxt.x, x)
 
@@ -281,7 +265,7 @@ class TestPapc:
         steps = StepSizes.from_lambda(spec.beta, 0.5 / norm)
         state = initial_state(spec, steps, "papc")
         with pytest.raises(AlgorithmMisuseError):
-            alg.papc_step(state, spec, steps)
+            alg.STEP_FUNCTIONS[AlgorithmId.PAPC](state, spec, steps)
 
     def test_gradient_descent_when_h_zero(self, rng):
         c = rng.standard_normal(5)
@@ -290,7 +274,7 @@ class TestPapc:
                            A=IdentityOp(5))
         steps = StepSizes(0.8, 0.9)
         state = initial_state(spec, steps, "papc", rng.standard_normal(5))
-        nxt = alg.papc_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PAPC](state, spec, steps)
         np.testing.assert_array_equal(nxt.s, np.zeros(5))
         np.testing.assert_allclose(nxt.x, state.x - 0.8 * (state.x - c), atol=1e-15)
 
@@ -350,13 +334,13 @@ class TestDavisYin:
         steps = StepSizes.from_lambda(spec.beta, 0.5 / norm)
         state = initial_state(spec, steps, "pd3o")
         with pytest.raises(AlgorithmMisuseError):
-            alg.davis_yin_step(state, spec, steps)
+            alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](state, spec, steps)
 
         inst = gen_toy_quadratic(dim=4, seed=0)
         bad = StepSizes(0.5, 1.0)
         with pytest.raises(AlgorithmMisuseError):
-            alg.davis_yin_step(initial_state(inst.spec, bad, "davis-yin"),
-                               inst.spec, bad)
+            alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](
+                initial_state(inst.spec, bad, "davis-yin"), inst.spec, bad)
 
     def test_forward_backward_when_h_zero(self, rng):
         c = rng.standard_normal(5)
@@ -364,7 +348,7 @@ class TestDavisYin:
                            lstar=zero_conjugate_smooth(), A=IdentityOp(5))
         steps = StepSizes(0.9, 1.0 / 0.9)
         state = initial_state(spec, steps, "davis-yin", rng.standard_normal(5))
-        nxt = alg.davis_yin_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](state, spec, steps)
         np.testing.assert_allclose(nxt.z, state.x - 0.9 * state.grad_f, atol=1e-15)
 
     def test_dual_maintained_via_moreau_split(self, rng):
@@ -376,7 +360,7 @@ class TestDavisYin:
         steps = StepSizes(gamma, 1.0 / gamma)
         state = initial_state(spec, steps, "davis-yin", rng.standard_normal(5),
                               rng.standard_normal(5))
-        nxt = alg.davis_yin_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](state, spec, steps)
         w = 2 * state.x - state.z - gamma * state.grad_f
         expected = (1.0 / gamma) * (w - spec.h.prox(w, gamma))
         np.testing.assert_allclose(nxt.s, expected, atol=1e-14)
@@ -387,7 +371,7 @@ class TestDavisYin:
         steps = StepSizes(0.7, 1.0 / 0.7)
         z = rng.standard_normal(6)
         state = initial_state(spec, steps, "pd3o", z, np.zeros(6))
-        nxt = alg.davis_yin_step(state, spec, steps)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](state, spec, steps)
         x = spec.g.prox(z, 0.7)
         expected = z + spec.h.prox(2 * x - z, 0.7) - x
         np.testing.assert_allclose(nxt.z, expected, atol=1e-14)
@@ -418,14 +402,13 @@ class TestRelaxation:
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
         for theta in (0.7, 1.4):
             steps = StepSizes.from_lambda(spec.beta, 0.5 / norm, theta=theta)
-            state = initial_state(spec, steps, "pd3o", z0, s0)
-            for _ in range(3):
-                state = alg.pd3o_step(state, spec, steps)
-            image = alg.pd3o_step(state, spec, replace(steps, theta=1.0))
+            state = run_steps("pd3o", spec, steps, z0, s0, 3)[-1]
+            step = alg.STEP_FUNCTIONS[AlgorithmId.PD3O]
+            image = step(state, spec, replace(steps, theta=1.0))
             expected = initial_state(spec, steps, "pd3o",
                                      theta * image.z + (1 - theta) * state.z,
                                      theta * image.s + (1 - theta) * state.s)
-            relaxed = alg.pd3o_step(state, spec, steps)
+            relaxed = step(state, spec, steps)
             for attr in ("z", "s", "x", "grad_f", "xbar", "ats"):
                 dev = np.abs(getattr(relaxed, attr) - getattr(expected, attr)).max()
                 assert dev <= 1e-12, (theta, attr)
@@ -456,12 +439,8 @@ class TestCondatVu:
         norm = estimate_norm_AAt(DenseMatrixOp(B), tol=1e-12)
         steps = StepSizes.from_lambda(0.8, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
-        cv = run_steps(alg.condat_vu_step,
-                       initial_state(spec, steps, "condat-vu", z0, s0),
-                       spec, steps, 50)
-        ref = run_steps(alg.pd3o_step_reformulated,
-                        initial_state(spec, steps, "pd3o-reformulated", z0, s0),
-                        spec, steps, 50)
+        cv = run_steps("condat-vu", spec, steps, z0, s0, 50)
+        ref = run_steps("pd3o-reformulated", spec, steps, z0, s0, 50)
         assert max_deviation(cv, ref, attrs=("x", "s", "xbar")) <= 1e-12
 
 
@@ -539,7 +518,96 @@ class TestValidateStepsizes:
                     assert verdict.valid is valid, (algorithm, gamma, norm, rho, verdict)
 
     def test_every_scheme_has_a_condition_row_and_a_step(self):
-        assert set(alg.CONDITIONS) == set(alg.STEP_FUNCTIONS) == set(AlgorithmId)
+        assert list(alg.SCHEMES) == list(alg.STEP_FUNCTIONS) == list(AlgorithmId)
+        for scheme, row in alg.SCHEMES.items():
+            assert row.conditions, scheme
+            step = alg.STEP_FUNCTIONS[scheme]
+            if row.rule is None:  # a scheme with its own step and start
+                assert row.start is None and step is alg.afba_step
+            else:
+                assert row.start is not None
+                assert step.func is alg.primal_dual_step and step.keywords == {"scheme": scheme}
+
+
+# (t, r, lambda) points; each scheme's verdict at each, None where valid
+VERDICT_GRID = ((0.5, 0.25, 1.0), (0.5, 0.25, 0.5), (1.0, 0.0, 1.0), (0.5, 0.5, 1.0),
+                (0.25, 1.0, 1.0), (1.2, 0.0, 2.0), (1.2, 0.1, 1.0))
+_T_LT = "gamma*delta*||AA^T|| = {} must be < 1"
+_R_LT = "gamma/(2 beta) = 1.0 must be < 1"
+_CV = "gamma*delta*||AA^T|| + gamma/(2 beta) = {} must be <= 1"
+_AFBA = "t/2 + sqrt(t/2)/2 + gamma/(2 beta) = {} must be <= 1"
+_STRICT_PAIR = (None, None, _T_LT.format(1.0), None, _R_LT,
+                _T_LT.format(1.2), _T_LT.format(1.2))
+PINNED_VERDICTS = {
+    "pd3o": _STRICT_PAIR,
+    "pd3o-reformulated": _STRICT_PAIR,
+    "papc": _STRICT_PAIR,
+    "pdfp": _STRICT_PAIR,
+    "chambolle-pock": (None, None, None, None, None,
+                       "gamma*delta*||AA^T|| = 1.2 must be <= 1",
+                       "gamma*delta*||AA^T|| = 1.2 must be <= 1"),
+    "davis-yin": (None, "gamma*delta = 0.5 must be = 1", None, None, _R_LT,
+                  "gamma*delta = 2.0 must be = 1", None),
+    "condat-vu": (None, None, None, None, _CV.format(1.25), _CV.format(1.2),
+                  _CV.format(1.3)),
+    "afba": (None, None, None, None, _AFBA.format(1.301776695296637), None,
+             _AFBA.format(1.0872983346207417)),
+}
+# What each scheme's step requires beyond the shared skeleton, by the text it names.
+PINNED_PREMISES = {
+    "pd3o": (),
+    "pd3o-reformulated": ("theta = 1",),
+    "condat-vu": ("l* = 0", "theta = 1"),
+    "pdfp": ("l* = 0", "theta = 1"),
+    "afba": ("l* = 0", "theta = 1"),
+    "chambolle-pock": ("f = 0", "l* = 0", "theta = 1"),
+    "papc": ("g = 0", "l* = 0", "theta = 1"),
+    "davis-yin": ("A = I and gamma*delta = 1", "l* = 0", "theta = 1"),
+}
+
+
+def premise_breakers():
+    """A problem every scheme accepts (f = 0, g = 0, A = I with gamma*delta = 1,
+    l* = 0, theta = 1), and per premise the same problem with only it broken."""
+    spec = ProblemSpec(f=zero_smooth(), g=zero_prox(), h=l1(0.5),
+                       lstar=zero_conjugate_smooth(), A=IdentityOp(4))
+    steps = StepSizes(0.5, 2.0)
+    smooth_lstar = ConjugateSmoothTerm(gradient=lambda s: 0.5 * s, beta_l=2.0,
+                                       is_zero=False, value=lambda s: 0.25 * float(s @ s))
+    return spec, steps, {
+        "f = 0": (replace(spec, f=quadratic_distance_term(np.arange(4.0))), steps),
+        "g = 0": (replace(spec, g=l1(0.3)), steps),
+        "A = I and gamma*delta = 1": (spec, StepSizes(0.5, 1.0)),
+        "l* = 0": (replace(spec, lstar=smooth_lstar), steps),
+        "theta = 1": (spec, StepSizes(0.5, 2.0, theta=1.2)),
+    }
+
+
+class TestSchemeTable:
+    @pytest.mark.parametrize("algorithm", [a.value for a in AlgorithmId])
+    def test_verdicts_on_a_grid_are_pinned(self, algorithm):
+        got = []
+        for t, r, lam in VERDICT_GRID:
+            beta = INF if r == 0.0 else 1.0 / (2.0 * r)
+            verdict = validate_stepsizes(algorithm, StepSizes(1.0, lam), beta, t / lam)
+            assert verdict.details == {"t": t, "r": r}
+            assert verdict.valid is (verdict.violated is None)
+            got.append(verdict.violated)
+        assert tuple(got) == PINNED_VERDICTS[algorithm]
+
+    @pytest.mark.parametrize("algorithm", [a.value for a in AlgorithmId])
+    def test_each_premise_breaks_the_step_by_name(self, algorithm, rng):
+        spec, steps, breakers = premise_breakers()
+        step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+        z0 = rng.standard_normal(4)
+        step(initial_state(spec, steps, algorithm, z0), spec, steps)
+        for what, (bad_spec, bad_steps) in breakers.items():
+            state = initial_state(bad_spec, bad_steps, algorithm, z0)
+            if what in PINNED_PREMISES[algorithm]:
+                with pytest.raises(AlgorithmMisuseError, match=re.escape(what)):
+                    step(state, bad_spec, bad_steps)
+            else:
+                step(state, bad_spec, bad_steps)
 
 
 class TestSolve:
@@ -690,8 +758,9 @@ class TestSolve:
         solve(inst.spec, "pd3o", steps, max_iters=20, residual_tol=0.0,
               norm_AAt=inst.norm_AAt,
               hooks=(lambda k, st, nxt, res: seen.append((st.copy(), res)),))
+        unrelaxed = replace(steps, theta=1.0)
         for st, res in seen:
-            image = alg.pd3o_step(st, inst.spec, replace(steps, theta=1.0))
+            image = alg.primal_dual_step(st, inst.spec, unrelaxed, AlgorithmId.PD3O)
             assert res == pytest.approx(fixed_point_residual(ctx, st, image), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -873,7 +942,7 @@ class TestLoggedRows:
                                                         small_reference):
         inst, ref = small_fused_lasso, small_reference
         # a term of its own, whose value never sees a gradient point
-        fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b, beta=inst.beta))
+        fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
         xs, expected = [], []
         rec = self._gap_solve(inst, ref, hooks=(self._fresh_rows(fresh, ref, xs, expected),))
         assert len(rec.rows) == len(expected) == 60
@@ -889,7 +958,7 @@ class TestLoggedRows:
         inst, ref = small_fused_lasso, small_reference
         if case == "afba":
             spec, algorithm, gamma = inst.spec, "afba", inst.beta
-            fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b, beta=inst.beta))
+            fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
         else:
             c = np.linspace(-60.0, 60.0, inst.spec.x_dim)
             spec = fresh = replace(inst.spec, f=quadratic_distance_term(c))

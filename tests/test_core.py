@@ -73,10 +73,10 @@ class TestCocoercivity:
         assert ok
         assert worst >= 1.0 - 1e-12
 
-    def test_least_squares_with_eigensolve_beta(self, rng):
+    def test_least_squares_with_certified_beta(self, rng):
         A = rng.standard_normal((7, 5))
-        beta = 1.0 / float(np.linalg.eigvalsh(A.T @ A)[-1])
-        term = least_squares_term(A, rng.standard_normal(7), beta=beta)
+        term = least_squares_term(A, rng.standard_normal(7))
+        assert term.beta <= 1.0 / float(np.linalg.eigvalsh(A.T @ A)[-1])
         assert sample_cocoercivity(term, samples=200, dim=5, rng_seed=1)[0]
 
     def test_overdeclared_beta_fails(self):

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from pdsplit.algorithms import (
+    AlgorithmId,
     StepSizes,
     fixed_point_from_primal_dual,
     initial_state,
-    pd3o_step,
+    primal_dual_step,
     solve,
 )
 from pdsplit.core import ProblemSpec, zero_conjugate_smooth, zero_smooth
@@ -70,6 +71,20 @@ class TestMNorm:
         with pytest.raises(GeometryViolationError):
             m_norm_sq(ctx, rng.standard_normal(4))
 
+    def test_band_applies_to_the_bracket_not_its_scaled_value(self):
+        # ||DD^T|| declared 1% below the truth makes t = 1 pass while the
+        # bracket ||s||^2 - gamma*delta*||D^T s||^2 at the top eigenvector is
+        # about -0.01; gamma/delta = 1e-9 scales that inside a 1e-10 band
+        op = DifferenceOp(40)
+        declared = 0.99 * op.norm_AAt_bound()
+        gamma = math.sqrt(1e-9 / declared)
+        ctx = MNormContext(gamma, gamma / 1e-9, op, norm_AAt=declared)
+        assert not ctx.indefinite
+        dense = np.array([op.apply(e) for e in np.eye(40)]).T
+        s = np.linalg.eigh(dense @ dense.T)[1][:, -1]
+        with pytest.raises(GeometryViolationError):
+            m_norm_sq(ctx, s)
+
     def test_combined_norm_blocks(self, rng):
         ctx = MNormContext(0.5, 0.5, DifferenceOp(4))
         z, s = rng.standard_normal(4), rng.standard_normal(3)
@@ -84,7 +99,7 @@ class TestFixedPointResidual:
         inst = gen_toy_quadratic(dim=5, seed=1)
         steps = StepSizes.from_lambda(1.0, 0.5)
         state = initial_state(inst.spec, steps, "pd3o", inst.c, np.zeros(5))
-        nxt = pd3o_step(state, inst.spec, steps)
+        nxt = primal_dual_step(state, inst.spec, steps, AlgorithmId.PD3O)
         ctx = MNormContext(steps.gamma, steps.delta, inst.spec.A)
         assert fixed_point_residual(ctx, state, nxt) <= 1e-12
 
@@ -92,7 +107,7 @@ class TestFixedPointResidual:
         inst = gen_toy_quadratic(dim=5, seed=2)
         steps = StepSizes.from_lambda(0.7, 0.5)
         state = initial_state(inst.spec, steps)
-        nxt = pd3o_step(state, inst.spec, steps)
+        nxt = primal_dual_step(state, inst.spec, steps, AlgorithmId.PD3O)
         np.testing.assert_array_equal(nxt.s, np.zeros(5))
         ctx = MNormContext(steps.gamma, steps.delta, inst.spec.A)
         assert fixed_point_residual(ctx, state, nxt) == pytest.approx(
@@ -162,7 +177,7 @@ class TestErgodicGap:
         checks: dict[int, GapCheck] = {}
         for k in range(200):
             sums_x += state.x
-            nxt = pd3o_step(state, inst.spec, steps)
+            nxt = primal_dual_step(state, inst.spec, steps, AlgorithmId.PD3O)
             sums_s += nxt.s
             if k in (99, 199):
                 checks[k] = ergodic_gap_bound_check(
@@ -193,7 +208,7 @@ class TestErgodicGap:
         z_pr = fixed_point_from_primal_dual(inst.spec, ref.x, ref.s, gamma)
         state = initial_state(inst.spec, steps)
         for k in range(150):
-            nxt = pd3o_step(state, inst.spec, steps)
+            nxt = primal_dual_step(state, inst.spec, steps, AlgorithmId.PD3O)
             lhs = (lagrangian(inst.spec, state.x, ref.s)
                    - lagrangian(inst.spec, ref.x, nxt.s))
             d_before = combined_norm_sq(ctx, z_pr - state.z, ref.s - state.s)

@@ -1,6 +1,7 @@
 import math
 import os
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -134,11 +135,26 @@ class TestElasticNetGenerator:
         assert ok
 
 
+class TestDeclaredNorm:
+    @pytest.mark.parametrize("generate", [
+        lambda: gen_fused_lasso(n=10, p=30, seed=1),
+        lambda: gen_elastic_net_strongly_convex(n=12, p=12, seed=1),
+        lambda: gen_toy_quadratic(dim=5, seed=1)])
+    def test_every_generator_declares_the_certified_bound(self, generate):
+        inst = generate()
+        assert inst.norm_AAt == inst.spec.A.norm_AAt_bound()
+
+    def test_elastic_net_bound_is_at_least_the_exact_square(self):
+        # 0.7**2 rounds to 0.48999999999999994, below the exact square of the double 0.7
+        inst = gen_elastic_net_strongly_convex(n=12, p=12, seed=1, a_scale=0.7)
+        assert Fraction(inst.norm_AAt) >= Fraction(0.7) ** 2
+
+
 class TestLeastSquaresTerm:
     @pytest.mark.parametrize("ridge", [0.0, 0.3])
     def test_value_with_residual_memo_equals_fresh_evaluation(self, rng, ridge):
         A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
-        f = least_squares_term(A, b, ridge=ridge, beta=1.0)
+        f = least_squares_term(A, b, ridge=ridge)
 
         def fresh(x):
             r = A @ x - b
@@ -158,7 +174,7 @@ class TestLeastSquaresTerm:
         assert f.value(older) == fresh(older)  # evicted, recomputed
 
     def test_value_at_a_huge_point_warns_no_overflow(self):
-        f = least_squares_term(np.eye(3), np.zeros(3), ridge=0.5, beta=1.0)
+        f = least_squares_term(np.eye(3), np.zeros(3), ridge=0.5)
         big = np.full(3, 1e200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -167,7 +183,7 @@ class TestLeastSquaresTerm:
 
     def test_gradient_is_unchanged(self, rng):
         A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
-        f = least_squares_term(A, b, ridge=0.3, beta=1.0)
+        f = least_squares_term(A, b, ridge=0.3)
         x = rng.standard_normal(40)
         assert np.array_equal(f.gradient(x), A.T @ (A @ x - b) + 2.0 * 0.3 * x)
 
