@@ -38,7 +38,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable
@@ -138,10 +138,6 @@ class SolverState:
     grad_f: np.ndarray | None = None
     xbar: np.ndarray | None = None
     ats: np.ndarray | None = None
-
-    def copy(self) -> "SolverState":
-        return SolverState(*(None if getattr(self, f.name) is None
-                             else getattr(self, f.name).copy() for f in fields(self)))
 
 
 def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
@@ -275,7 +271,7 @@ def initial_state(
 
 
 def primal_dual_step(
-    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId
+    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId | str
 ) -> SolverState:
     """One pass of the shared skeleton, closed by the xbar+ rule of ``scheme``'s row.
 
@@ -284,6 +280,7 @@ def primal_dual_step(
     theta*T(z, s) + (1 - theta)*(z, s).  A state lacking xbar, A^T s or the
     gradient raises ``AlgorithmMisuseError``.
     """
+    scheme = AlgorithmId(scheme)
     row = SCHEMES[scheme]
     _require(row.needs, spec, steps, scheme.value)
     _require_fields(state, ("xbar", "ats", "grad_f"), scheme.value)
@@ -375,12 +372,25 @@ def validate_stepsizes(
     return StepSizeVerdict(True, None, details)
 
 
-def check_theta(theta: float, gamma: float, beta: float) -> None:
-    """Raise ``StepSizeError`` unless theta = 1 or theta lies in the admissible
-    relaxation interval (0, 2 - gamma/(2 beta)) for primal step gamma."""
-    cap = 2.0 if beta == INF else 2.0 - gamma / (2.0 * beta)
-    if theta != 1.0 and not theta < cap:
-        raise StepSizeError(f"theta = {theta} must lie in (0, {cap:.6g}) for these steps")
+def admit(spec: ProblemSpec, algorithm: AlgorithmId | str, steps: StepSizes,
+          norm_AAt: float, force: bool = False) -> StepSizeVerdict:
+    """Whether ``algorithm`` may run on ``spec`` with ``steps``: the one check
+    that ``solve`` and the CLI's validate and compare share.
+
+    In order: the premises of the scheme's row (``AlgorithmMisuseError``);
+    theta = 1 or theta in (0, 2 - gamma/(2 beta)) (``StepSizeError``); the
+    step-size conditions of ``validate_stepsizes``, whose failure raises
+    ``StepSizeError`` unless ``force`` is set.  Returns that verdict.
+    """
+    algorithm = AlgorithmId(algorithm)
+    _require(SCHEMES[algorithm].needs, spec, steps, algorithm.value)
+    cap = 2.0 if spec.beta == INF else 2.0 - steps.gamma / (2.0 * spec.beta)
+    if steps.theta != 1.0 and not steps.theta < cap:
+        raise StepSizeError(f"theta = {steps.theta} must lie in (0, {cap:.6g}) for these steps")
+    verdict = validate_stepsizes(algorithm, steps, spec.beta, norm_AAt)
+    if not (verdict.valid or force):
+        raise StepSizeError(f"step sizes rejected for {algorithm.value}: {verdict.violated}")
+    return verdict
 
 
 # --- optimality / fixed-point checks -------------------------------------------
@@ -443,13 +453,13 @@ def solve(
     log_every: int = 1,
     hooks: Iterable[Callable] = (),
     force: bool = False,
-    descriptor: dict | None = None,
 ) -> ConvergenceRecord:
     """Iterate the chosen step until the combined-norm fixed-point residual
     drops below ``residual_tol`` or ``max_iters`` is reached.
 
-    Step sizes are validated first; invalid ones raise ``StepSizeError``
-    unless ``force`` is set (the override is recorded in the metadata).
+    ``admit`` checks the scheme's premises, theta and the step sizes before
+    any oracle call; invalid step sizes raise ``StepSizeError`` unless
+    ``force`` is set (the override is recorded in the metadata).
     ``norm_AAt`` defaults to ``spec.A.norm_AAt_bound()``.  The residual is
     measured in the combined norm, in the metric regime ``MNormContext`` reads
     off t = gamma*delta*norm_AAt: a norm for t < 1, a seminorm (with a
@@ -489,18 +499,11 @@ def solve(
     beta = spec.beta
     if norm_AAt is None:
         norm_AAt = spec.A.norm_AAt_bound()
-    verdict = validate_stepsizes(algorithm, steps, beta, norm_AAt)
-    forced = False
+    verdict = admit(spec, algorithm, steps, norm_AAt, force)
     if not verdict.valid:
-        if not force:
-            raise StepSizeError(
-                f"step sizes rejected for {algorithm.value}: {verdict.violated}"
-            )
-        forced = True
         logger.warning("forcing run with invalid step sizes: %s", verdict.violated)
 
     theta = steps.theta
-    check_theta(theta, steps.gamma, beta)
 
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
     euclidean = ctx.indefinite
@@ -511,7 +514,7 @@ def solve(
         logger.warning("gamma*delta*||AA^T|| = 1: dual metric is only a seminorm; "
                        "residuals use the seminorm")
 
-    state = initial_state(spec, steps, algorithm) if init is None else init.copy()
+    state = initial_state(spec, steps, algorithm) if init is None else init
 
     ref_x = ref_s = None
     gap_probe = None
@@ -594,7 +597,7 @@ def solve(
         "beta": beta,
         "norm_AAt": norm_AAt,
         "stepsize_valid": verdict.valid,
-        "forced": forced,
+        "forced": not verdict.valid,
         "iterations": k + 1,
         "converged": stop_reason == "converged",
         "stop_reason": stop_reason,
@@ -605,7 +608,6 @@ def solve(
         "residual_metric": "euclidean" if euclidean else "M",
         "log_every": log_every,
         "oracle_calls": oracle_calls(spec, algorithm, k + 1, started=init is None),
-        "problem": dict(descriptor or {}),
     }
     if gap_probe_dist_sq is not None:
         metadata["gap_probe_dist_sq"] = gap_probe_dist_sq

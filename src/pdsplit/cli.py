@@ -7,10 +7,14 @@
 
 Parameters are entered as (gamma-factor, lambda): the primal step is
 gamma = factor * beta and the dual step is derived as delta = lambda / gamma,
-so a sweep over step sizes is a plain grid over those two numbers.  compare
-runs the grid's cells on the calling process and up to one helper process per
-further usable CPU, and writes every output in grid order.  Exit codes:
-0 success, 1 parse error, 2 inadmissible step sizes or algorithm/problem
+so a sweep over step sizes is a plain grid over those two numbers.  Every
+command accepts a scheme through ``algorithms.admit``: its premises, then
+theta's cap, then the step-size conditions.  validate reports each scheme's
+first refusal; compare admits every cell before it computes the reference,
+skips the refused ones, and exits 2 and writes nothing when none is admitted.
+compare runs the grid's cells on the calling process and up to one helper
+process per further usable CPU, and writes every output in grid order.  Exit
+codes: 0 success, 1 parse error, 2 inadmissible step sizes or algorithm/problem
 combination, 3 numerical failure.
 """
 
@@ -36,7 +40,7 @@ from pathlib import Path
 from .algorithms import (
     AlgorithmId,
     StepSizes,
-    check_theta,
+    admit,
     solve,
     validate_stepsizes,
 )
@@ -97,7 +101,7 @@ class RunConfig:
     def to_text(self) -> str:
         lines = []
         for f in dataclasses.fields(self):
-            key = "lambda" if f.name == "lam" else f.name
+            key = _KEY_OF.get(f.name, f.name)
             value = getattr(self, f.name)
             if isinstance(value, bool):
                 value = "true" if value else "false"
@@ -107,9 +111,11 @@ class RunConfig:
         return "\n".join(lines) + "\n"
 
 
-_FIELD_BY_KEY = {
-    ("lambda" if f.name == "lam" else f.name): f for f in dataclasses.fields(RunConfig)
-}
+# A setting's config key and flag name where they differ from its field name.
+_KEY_OF = {"lam": "lambda"}
+_FLAG_OF = {**_KEY_OF, "residual_tol": "tol"}
+_FIELD_BY_KEY = {_KEY_OF.get(f.name, f.name): f for f in dataclasses.fields(RunConfig)}
+_CAST = {"int": int, "float": float, "str": str}
 
 
 def config_from_text(text: str) -> RunConfig:
@@ -132,12 +138,8 @@ def config_from_text(text: str) -> RunConfig:
                 if val not in ("true", "false"):
                     raise ValueError(val)
                 parsed = val == "true"
-            elif f.type == "int":
-                parsed = int(val)
-            elif f.type == "float":
-                parsed = float(val)
             else:
-                parsed = val
+                parsed = _CAST[f.type](val)
         except ValueError:
             raise ConfigParseError(
                 f"bad value {val!r} for {key}", line_no, col
@@ -192,13 +194,9 @@ def _record_to_csv_text(record, series_id=None) -> str:
 
 def _solve(cfg: RunConfig, instance, algorithm: str, steps: StepSizes, reference):
     """One solve of ``algorithm`` on ``instance`` with the run settings of ``cfg``."""
-    return solve(
-        instance.spec, algorithm, steps,
-        max_iters=cfg.max_iters, residual_tol=cfg.residual_tol,
-        norm_AAt=instance.norm_AAt, reference=reference,
-        log_every=cfg.log_every, force=cfg.force,
-        descriptor=instance.descriptor,
-    )
+    return solve(instance.spec, algorithm, steps, max_iters=cfg.max_iters,
+                 residual_tol=cfg.residual_tol, norm_AAt=instance.norm_AAt,
+                 reference=reference, log_every=cfg.log_every, force=cfg.force)
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -206,24 +204,30 @@ def cmd_validate(cfg: RunConfig) -> int:
         instance = build_instance(cfg)
         steps = steps_for(cfg, instance)
         configured = AlgorithmId(cfg.algorithm)
-    verdict = validate_stepsizes(configured, steps, instance.beta, instance.norm_AAt)
+    details = validate_stepsizes(configured, steps, instance.beta, instance.norm_AAt).details
     print(f"instance: {json.dumps(instance.descriptor, sort_keys=True)}")
     print(f"beta={instance.beta:.6g} norm_AAt={instance.norm_AAt:.6g} "
           f"gamma={steps.gamma:.6g} delta={steps.delta:.6g} lambda={steps.lam:.6g} "
-          f"t={verdict.details['t']!r} r={verdict.details['r']!r}")
+          f"t={details['t']!r} r={details['r']!r}")
+    reasons = {}  # scheme -> why admit refuses it, or None
     for alg in dict.fromkeys((*REPORTED_ALGORITHMS, configured)):
-        v = validate_stepsizes(alg, steps, instance.beta, instance.norm_AAt)
-        print(f"{alg.value}: " + ("admissible" if v.valid else f"rejected ({v.violated})"))
-    return EXIT_OK if verdict.valid else EXIT_INADMISSIBLE
+        try:
+            reasons[alg] = admit(instance.spec, alg, steps, instance.norm_AAt, force=True).violated
+        except (StepSizeError, AlgorithmMisuseError) as err:
+            reasons[alg] = str(err)
+        print(f"{alg.value}: " + ("admissible" if reasons[alg] is None
+                                  else f"rejected ({reasons[alg]})"))
+    return EXIT_OK if reasons[configured] is None else EXIT_INADMISSIBLE
 
 
 def cmd_run(cfg: RunConfig) -> int:
     with _setup_errors():
         if cfg.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        AlgorithmId(cfg.algorithm)  # a config file can name an unknown scheme
         instance = build_instance(cfg)
         steps = steps_for(cfg, instance)
+        # before the reference; a config file can name an unknown scheme (ValueError)
+        admit(instance.spec, cfg.algorithm, steps, instance.norm_AAt, cfg.force)
     reference = None
     if cfg.reference_iters > 0:
         ref = reference_solution(instance, cfg.reference_iters)
@@ -236,7 +240,7 @@ def cmd_run(cfg: RunConfig) -> int:
 
     out = Path(cfg.output)
     _atomic_write(out, _record_to_csv_text(record))
-    meta = dict(record.metadata)
+    meta = dict(record.metadata, problem=instance.descriptor)
     meta["config"] = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
     _atomic_write(out.with_suffix(out.suffix + ".meta.json"),
                   json.dumps(meta, sort_keys=True, indent=2, default=str) + "\n")
@@ -256,12 +260,10 @@ _SERIES_KEYS = ("iterations", "final_objective", "final_residual", "stop_reason"
 
 
 def _run_cell(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
-    """Solve one grid cell: ``("ran", fields)`` with the cell's CSV text under
-    ``"csv"``, ``("skip", reason)`` or ``("failed", fields)``."""
+    """Solve one admitted grid cell: ``("ran", fields)`` with the cell's CSV
+    text under ``"csv"``, or ``("failed", fields)``."""
     try:
         record = _solve(cfg, instance, cell["algorithm"], steps, reference)
-    except (StepSizeError, AlgorithmMisuseError) as err:
-        return "skip", str(err)
     except NumericalFailureError as err:
         return "failed", {"iteration": err.iteration, "sub_step": err.sub_step,
                           "message": str(err)}
@@ -374,10 +376,14 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
                   "algorithm": AlgorithmId(alg).value, "gamma_factor": gf, "lambda": lam},
                  steps_for(cfg, instance, gamma_factor=gf, lam=lam))
                 for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas)]
-    # theta's cap 2 - gamma/(2 beta) falls as gamma grows, so a theta that the
-    # smallest gamma factor rejects is inadmissible in every cell
-    if gamma_factors:
-        check_theta(cfg.theta, min(gamma_factors) * instance.beta, instance.beta)
+    refused = {}  # grid index -> why the cell may not run
+    for i, (cell, steps) in enumerate(grid):
+        try:
+            admit(instance.spec, cell["algorithm"], steps, instance.norm_AAt, cfg.force)
+        except (StepSizeError, AlgorithmMisuseError) as err:
+            refused[i] = err.with_traceback(None)  # a traceback would pin this frame
+    if grid and len(refused) == len(grid):
+        raise refused[0]
     ref_iters = cfg.reference_iters if cfg.reference_iters > 0 else 20000
     ref = reference_solution(instance, ref_iters)
     reference = (ref.x, ref.s)
@@ -393,34 +399,36 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         "failed": [],
     }
     status = EXIT_OK
-    # every process claims the next cell from todo as it frees up, and the
-    # caller takes each cell's outcome from its future in grid order
+    # every process claims the next admitted cell from todo as it frees up, and
+    # the caller takes each cell's outcome from its future in grid order
     todo, cells = queue.SimpleQueue(), [Future() for _ in grid]
-    for i in range(len(grid)):
+    admitted = [i for i in range(len(grid)) if i not in refused]
+    for i in admitted:
         todo.put(i)
-    # the caller claims the first cell before any helper starts, so every grid
-    # runs at least one cell where a profiler or tracer in this process sees it
+    # the caller claims the first admitted cell before any helper starts, so
+    # every grid runs a cell where a profiler or tracer in this process sees it
     mine = _claim(todo)
     helpers = []
     try:
         with atomic_file(out) as merged:
             merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
-            for _ in range(_helper_count(len(grid), _usable_cpus())):
+            for _ in range(_helper_count(len(admitted), _usable_cpus())):
                 helpers.append(_Helper(todo, cells, (cfg.to_text(), grid, reference)))
             for i, (cell, _) in enumerate(grid):
+                sid = cell["series_id"]
+                if i in refused:
+                    print(f"skip {sid}: {refused[i]}")
+                    manifest["skipped"].append({**cell, "reason": str(refused[i])})
+                    continue
                 while mine is not None and not cells[i].done():
                     _settle(todo, cells[mine],
                             (*_run_cell(cfg, instance, reference, *grid[mine]), ""))
                     mine = _claim(todo)
                 kind, value, stderr_text = cells[i].result()
                 sys.stderr.write(stderr_text)
-                sid = cell["series_id"]
                 if kind == "error":
                     raise PdsplitError(f"{sid}: {value}")
-                if kind == "skip":
-                    print(f"skip {sid}: {value}")
-                    manifest["skipped"].append({**cell, "reason": value})
-                elif kind == "failed":
+                if kind == "failed":
                     print(f"numerical failure in {sid} at iteration {value['iteration']}",
                           file=sys.stderr)
                     manifest["failed"].append({**cell, **value})
@@ -454,31 +462,24 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pdsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
+    choices = {"problem": PROBLEMS, "algorithm": [a.value for a in AlgorithmId]}
+
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
-        p.add_argument("--problem", choices=PROBLEMS)
-        p.add_argument("--n", type=int)
-        p.add_argument("--p", type=int)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--noise-var", type=float, dest="noise_var")
-        p.add_argument("--mu1", type=float)
-        p.add_argument("--mu2", type=float)
-        p.add_argument("--algorithm", choices=[a.value for a in AlgorithmId])
-        p.add_argument("--gamma-factor", type=float, dest="gamma_factor")
-        p.add_argument("--lambda", type=float, dest="lam")
-        p.add_argument("--theta", type=float)
-        p.add_argument("--max-iters", type=int, dest="max_iters")
-        p.add_argument("--tol", type=float, dest="residual_tol")
-        p.add_argument("--log-every", type=int, dest="log_every")
-        p.add_argument("--output", type=str)
-        p.add_argument("--force", action="store_true", default=None)
-        p.add_argument("--reference-iters", type=int, dest="reference_iters")
+        for f in dataclasses.fields(RunConfig):  # one flag per setting
+            flag = "--" + _FLAG_OF.get(f.name, f.name).replace("_", "-")
+            if f.type == "bool":
+                p.add_argument(flag, action="store_true", default=None, dest=f.name)
+            else:
+                p.add_argument(flag, type=_CAST[f.type], dest=f.name,
+                               choices=choices.get(f.name))
 
     add_common(sub.add_parser("validate", help="report step-size admissibility"))
     add_common(sub.add_parser("run", help="solve one configuration, write CSV"))
     cmp_parser = sub.add_parser("compare", help="sweep a parameter grid into one CSV")
     add_common(cmp_parser)
-    cmp_parser.add_argument("--algorithms", default="pd3o,pdfp,condat-vu,afba")
+    cmp_parser.add_argument("--algorithms",
+                            default=",".join(a.value for a in REPORTED_ALGORITHMS))
     cmp_parser.add_argument("--gamma-factors", default="1.0", dest="gamma_factors")
     cmp_parser.add_argument("--lambdas", default="0.125")
     return parser

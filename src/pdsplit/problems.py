@@ -347,11 +347,8 @@ def reference_solution(
         if cached is not None:
             return cached
 
-    record = solve(
-        instance.spec, AlgorithmId.PD3O, StepSizes(gamma, delta),
-        max_iters=iters, residual_tol=0.0, norm_AAt=norm, log_every=0,
-        descriptor=instance.descriptor,
-    )
+    record = solve(instance.spec, AlgorithmId.PD3O, StepSizes(gamma, delta),
+                   max_iters=iters, residual_tol=0.0, norm_AAt=norm, log_every=0)
     state = record.final_state
     ref = ReferenceSolution(
         x=state.x, s=state.s, objective=record.metadata["final_objective"],

@@ -597,17 +597,47 @@ class TestSchemeTable:
 
     @pytest.mark.parametrize("algorithm", [a.value for a in AlgorithmId])
     def test_each_premise_breaks_the_step_by_name(self, algorithm, rng):
+        # admit refuses exactly the premises the step refuses, by the same name
         spec, steps, breakers = premise_breakers()
         step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
         z0 = rng.standard_normal(4)
         step(initial_state(spec, steps, algorithm, z0), spec, steps)
+        alg.admit(spec, algorithm, steps, 1.0, force=True)
         for what, (bad_spec, bad_steps) in breakers.items():
             state = initial_state(bad_spec, bad_steps, algorithm, z0)
             if what in PINNED_PREMISES[algorithm]:
                 with pytest.raises(AlgorithmMisuseError, match=re.escape(what)):
                     step(state, bad_spec, bad_steps)
+                with pytest.raises(AlgorithmMisuseError, match=re.escape(what)):
+                    alg.admit(bad_spec, algorithm, bad_steps, 1.0, force=True)
             else:
                 step(state, bad_spec, bad_steps)
+                alg.admit(bad_spec, algorithm, bad_steps, 1.0, force=True)
+
+    def test_admit_checks_premises_then_theta_then_the_conditions(self, small_fused_lasso):
+        inst = small_fused_lasso
+        past_boundary = StepSizes.from_lambda(1.9 * inst.beta, 1.0)  # t is about 4
+        # chambolle-pock breaks both its premise f = 0 and t <= 1: the premise is named
+        with pytest.raises(AlgorithmMisuseError, match="requires f = 0"):
+            alg.admit(inst.spec, "chambolle-pock", past_boundary, inst.norm_AAt)
+        # theta = 1.2 is past the cap 2 - 1.9/2 = 1.05 as well: theta is named
+        with pytest.raises(StepSizeError, match=re.escape("theta = 1.2 must lie in (0, 1.05)")):
+            alg.admit(inst.spec, "pd3o", replace(past_boundary, theta=1.2), inst.norm_AAt,
+                      force=True)
+        with pytest.raises(StepSizeError, match="step sizes rejected for pd3o: gamma"):
+            alg.admit(inst.spec, "pd3o", past_boundary, inst.norm_AAt)
+        verdict = alg.admit(inst.spec, "pd3o", past_boundary, inst.norm_AAt, force=True)
+        assert verdict == validate_stepsizes("pd3o", past_boundary, inst.beta, inst.norm_AAt)
+        assert not verdict.valid
+
+    def test_a_scheme_name_steps_like_its_id(self, small_fused_lasso, rng):
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.125)
+        state = initial_state(inst.spec, steps, "pd3o", rng.standard_normal(inst.spec.x_dim))
+        by_name = alg.primal_dual_step(state, inst.spec, steps, "pd3o")
+        by_id = alg.STEP_FUNCTIONS[AlgorithmId.PD3O](state, inst.spec, steps)
+        for attr in ("z", "s", "x", "grad_f", "xbar", "ats"):
+            np.testing.assert_array_equal(getattr(by_name, attr), getattr(by_id, attr))
 
 
 class TestSolve:
@@ -646,6 +676,17 @@ class TestSolve:
             solve(inst.spec, "pdfp",
                   StepSizes.from_lambda(inst.beta, 0.125, theta=1.2),
                   max_iters=10, norm_AAt=inst.norm_AAt)
+
+    @pytest.mark.parametrize("algorithm, what", [("chambolle-pock", "f = 0"),
+                                                 ("papc", "g = 0")])
+    def test_a_premise_breach_costs_no_oracle_call(self, algorithm, what, small_fused_lasso,
+                                                   counting_spec):
+        inst = small_fused_lasso
+        spec, counts = counting_spec(inst.spec)
+        with pytest.raises(AlgorithmMisuseError, match=re.escape(what)):
+            solve(spec, algorithm, StepSizes.from_lambda(inst.beta, 0.125),
+                  max_iters=10, norm_AAt=inst.norm_AAt)
+        assert set(counts.values()) == {0}
 
     def test_oracle_counts_per_iteration(self, small_fused_lasso, counting_spec):
         inst = small_fused_lasso
@@ -757,7 +798,7 @@ class TestSolve:
         seen = []
         solve(inst.spec, "pd3o", steps, max_iters=20, residual_tol=0.0,
               norm_AAt=inst.norm_AAt,
-              hooks=(lambda k, st, nxt, res: seen.append((st.copy(), res)),))
+              hooks=(lambda k, st, nxt, res: seen.append((st, res)),))
         unrelaxed = replace(steps, theta=1.0)
         for st, res in seen:
             image = alg.primal_dual_step(st, inst.spec, unrelaxed, AlgorithmId.PD3O)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pdsplit import cli
-from pdsplit.algorithms import StepSizes
+from pdsplit.algorithms import AlgorithmId, StepSizes
 from pdsplit.cli import (
     EXIT_INADMISSIBLE,
     EXIT_NUMERICAL,
@@ -99,6 +99,30 @@ class TestValidateCommand:
         t, r = steps.lam * inst.norm_AAt, steps.gamma / (2.0 * inst.beta)
         assert f" t={t!r} r={r!r}\n" in out
         assert f"gamma*delta*||AA^T|| = {t!r} must be < 1" in out
+
+    @pytest.mark.parametrize("argv", [
+        *(["--problem", problem, "--algorithm", a.value]
+          for problem in ("fused-lasso", "toy-quadratic") for a in AlgorithmId),
+        ["--problem", "fused-lasso", "--theta", "1.6"],
+        ["--problem", "fused-lasso", "--algorithm", "pdfp", "--theta", "1.2"],
+    ])
+    def test_exit_code_matches_run(self, tmp_path, capsys, argv):
+        common = [*argv, "--n", "20", "--p", "40", "--seed", "7", "--max-iters", "5"]
+        code = main(["validate", *common])
+        out = capsys.readouterr().out
+        assert code == main(["run", *common, "--output", str(tmp_path / "x.csv")])
+        configured = argv[argv.index("--algorithm") + 1] if "--algorithm" in argv else "pd3o"
+        verdicts = dict(line.split(": ", 1) for line in out.splitlines()[2:])
+        assert verdicts[configured].startswith(
+            "admissible" if code == EXIT_OK else "rejected (")
+
+    def test_premise_and_theta_rejections_are_reported(self, capsys):
+        code = main(self.BASE + ["--algorithm", "chambolle-pock", "--theta", "1.6"])
+        out = capsys.readouterr().out
+        assert code == EXIT_INADMISSIBLE
+        assert "pd3o: rejected (theta = 1.6 must lie in (0, 1.5) for these steps)" in out
+        assert "pdfp: rejected (the pdfp step requires theta = 1; only pd3o relaxes)" in out
+        assert "chambolle-pock: rejected (the chambolle-pock step requires f = 0)" in out
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -226,7 +250,8 @@ class TestCompareCommand:
         grid = ["condat-vu_gf1.5_lam0.125", "condat-vu_gf1_lam0.125",
                 "pd3o_gf1.5_lam0.125", "pd3o_gf1_lam0.125"]
         ran = grid[1:]
-        assert in_caller[0] == grid[0] and len(in_caller) < len(grid)
+        # the refused first cell is never dispatched
+        assert in_caller[0] == ran[0] and len(in_caller) < len(ran)
         lines = capsys.readouterr().out.splitlines()
         assert [line.split(":")[0] for line in lines[:-1]] == [
             "skip " + grid[0], *("ran " + sid for sid in ran)]
@@ -402,6 +427,20 @@ class TestCompareCommand:
             "pd3o_gf1_lam0.125", "pd3o_gf1.5_lam0.125"}
         assert "skip chambolle-pock_gf1_lam0.125" in capsys.readouterr().out
 
+    def test_a_grid_without_an_admitted_cell_writes_nothing(self, tmp_path, monkeypatch,
+                                                            capsys):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("compare computed a reference for no cell")
+
+        monkeypatch.setattr(cli, "reference_solution", no_reference)
+        code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "7", "--algorithms", "chambolle-pock",
+                     "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "x.csv")])
+        assert code == EXIT_INADMISSIBLE
+        assert capsys.readouterr().err == (
+            "inadmissible: the chambolle-pock step requires f = 0\n")
+        assert os.listdir(tmp_path) == []
+
     def test_cells_past_the_theta_cap_are_skipped(self, tmp_path, capsys):
         # theta = 1.4 is below the cap 2 - gamma/(2 beta) = 1.5 at gamma = beta
         # but not below 1.05 at gamma = 1.9 beta
@@ -460,13 +499,17 @@ class TestMainEntry:
         # theta = 1.6 exceeds 2 - gamma/(2 beta) = 1.5 at gamma = beta
         ["compare", "--algorithms", "pd3o", "--theta", "1.6"],
     ])
-    def test_inadmissible_combination_exit_code(self, tmp_path, capsys, argv):
+    def test_inadmissible_combination_exit_code(self, tmp_path, monkeypatch, capsys, argv):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was computed for a refused scheme")
+
+        monkeypatch.setattr(cli, "reference_solution", no_reference)
         code = main([*argv, "--problem", "fused-lasso", "--n", "20", "--p", "30",
                      "--max-iters", "20", "--reference-iters", "200",
                      "--output", str(tmp_path / "x.csv")])
         assert code == EXIT_INADMISSIBLE
         assert "inadmissible" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("argv", [
         ["validate", "--gamma-factor", "0"],
