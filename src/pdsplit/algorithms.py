@@ -474,11 +474,13 @@ def solve(
     distance-to-reference column and, for gamma <= beta runs, the ergodic
     gap column evaluated at that probe; the probe's own terms of the
     Lagrangian are computed on the first gap row and reused after.  When f
-    exposes a residual (``SmoothTerm.residual``) and the scheme's state
-    carries the gradient at its own x (every scheme but AFBA), f at the
-    running average of x comes from the running mean of the residuals the
-    gradient formed, so a gap row applies no data matvec; the gap column then
-    agrees with a fresh evaluation to roundoff rather than bit for bit.
+    exposes a residual (``SmoothTerm.residual``), each iterate's residual is
+    fetched once, right after its step, and feeds its row's objective
+    (bit-identical to a fresh evaluation) and, with a gap, the running mean
+    of residuals that gives f at the running average of x with no data
+    matvec (equal to a fresh evaluation to roundoff).  AFBA's fetch is a
+    matvec, so it fetches only for gap rows at ``log_every == 1``; otherwise
+    its gap evaluates f at the average afresh.
     ``log_every`` thins the recorded rows, but iterations 0-10 and the final
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
@@ -516,33 +518,28 @@ def solve(
 
     state = initial_state(spec, steps, algorithm) if init is None else init
 
-    ref_x = ref_s = None
-    gap_probe = None
-    gap_probe_dist_sq = None
+    ref_x = ref_s = gap_probe = gap_probe_dist_sq = None
     if reference is not None:
         ref_x = as_vector(reference[0], spec.x_dim, name="x_ref")
         ref_s = as_vector(reference[1], spec.s_dim, name="s_ref")
-        gap_enabled = (
-            theta == 1.0
-            and at_most(steps.gamma, beta)
-            and spec.h.conjugate_value is not None
-            and spec.lstar.is_zero
-        )
-        if gap_enabled:
+        if (theta == 1.0 and at_most(steps.gamma, beta)
+                and spec.h.conjugate_value is not None and spec.lstar.is_zero):
             gap_probe = LagrangianProbe(ref_x, ref_s)
-            if not euclidean:
-                z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
-                gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z,
-                                                     ref_s - state.s)
 
-    x_sum = state.x.copy()
-    s_sum = np.zeros(spec.s_dim)
-    # f(xbar) from the mean of the residuals the gradient formed at each x_j,
-    # when f exposes them and the state carries the gradient at its own x
-    # (AFBA's gradient point is not its x, so its lookups would miss)
-    r_sum = None
-    if gap_probe is not None and spec.f.residual is not None and state.grad_f is not None:
-        r_sum = spec.f.residual(state.x).copy()
+    # f's residual at each iterate, fetched once and carried to its row.  Every
+    # step but AFBA's takes the gradient at its new x, so a fetch finds it in
+    # f's memo; AFBA's gradient point is not its x, so there a fetch is a
+    # matvec, made only when every row is logged and the gap sums residuals.
+    residual_of = spec.f.residual
+    fetch = residual_of is not None and (algorithm is not AlgorithmId.AFBA
+                                         or (gap_probe is not None and log_every == 1))
+    r = residual_of(state.x) if fetch else None
+    if gap_probe is not None:
+        if not euclidean:
+            z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
+            gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z, ref_s - state.s)
+        x_sum, s_sum = state.x.copy(), np.zeros(spec.s_dim)
+        r_sum = r.copy() if fetch else None
     rows: list[IterationRow] = []
     t_start = time.perf_counter()
     res = math.inf
@@ -554,17 +551,19 @@ def solve(
         except NumericalFailureError as err:
             err.iteration = k
             raise
+        r_next = residual_of(nxt.x) if fetch else None
         res = (euclidean_residual(state, nxt) if euclidean
                else fixed_point_residual(ctx, state, nxt)) / theta
-        s_sum += nxt.s
+        if gap_probe is not None:
+            s_sum += nxt.s
 
         stop = res <= residual_tol or k == max_iters - 1
         log_this = stop or k <= 10 or (log_every > 0 and k % log_every == 0)
         if log_this:
             # objective values are only defined for the l = indicator-of-0 case
-            obj = (evaluate_objective(spec, state.x, screened=True) if spec.lstar.is_zero
-                   else math.nan)
-            dist = None if ref_x is None else float(np.linalg.norm(state.x - ref_x))
+            obj = (evaluate_objective(spec, state.x, residual=r, screened=True)
+                   if spec.lstar.is_zero else math.nan)
+            dist = None if ref_x is None else math.sqrt((d := state.x - ref_x) @ d)
             gap = None
             if gap_probe is not None:
                 r_bar = None if r_sum is None else r_sum / (k + 1)
@@ -579,10 +578,11 @@ def solve(
         for hook in hooks:
             hook(k, state, nxt, res)
 
-        state = nxt
-        x_sum += state.x
-        if r_sum is not None:
-            r_sum += spec.f.residual(state.x)
+        state, r = nxt, r_next
+        if gap_probe is not None:
+            x_sum += state.x
+            if r_sum is not None:
+                r_sum += r
 
         if stop:
             break
@@ -602,7 +602,7 @@ def solve(
         "converged": stop_reason == "converged",
         "stop_reason": stop_reason,
         "final_objective": (
-            evaluate_objective(spec, state.x) if spec.lstar.is_zero else math.nan
+            evaluate_objective(spec, state.x, residual=r) if spec.lstar.is_zero else math.nan
         ),
         "final_residual": res,
         "residual_metric": "euclidean" if euclidean else "M",

@@ -371,6 +371,9 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     with _setup_errors():
         if cfg.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
+        if not (algorithms and gamma_factors and lambdas):
+            raise ValueError("the grid is empty: give at least one algorithm, "
+                             "gamma factor and lambda")
         instance = build_instance(cfg)
         grid = [({"series_id": f"{alg}_gf{gf:g}_lam{lam:g}",
                   "algorithm": AlgorithmId(alg).value, "gamma_factor": gf, "lambda": lam},
@@ -382,7 +385,7 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
             admit(instance.spec, cell["algorithm"], steps, instance.norm_AAt, cfg.force)
         except (StepSizeError, AlgorithmMisuseError) as err:
             refused[i] = err.with_traceback(None)  # a traceback would pin this frame
-    if grid and len(refused) == len(grid):
+    if len(refused) == len(grid):
         raise refused[0]
     ref_iters = cfg.reference_iters if cfg.reference_iters > 0 else 20000
     ref = reference_solution(instance, ref_iters)

@@ -6,12 +6,12 @@ gradient of its conjugate, and A a linear operator.  All oracles are
 deterministic functions of their arguments, so trajectories are bitwise
 reproducible, and every term is safe to share between solver runs.  A term
 may keep a private memo that never changes a result: the least-squares term
-keeps the residual A x - b of its two latest gradient points for ``value``
-to reuse (``problems.least_squares_term``).  A smooth term whose value is a
+keeps the residual A x - b of its latest gradient point for ``residual`` to
+reuse (``problems.least_squares_term``).  A smooth term whose value is a
 function of an affine residual r = A x - b and of x may expose both
-(``SmoothTerm.residual`` and ``value_from_residual``); ``solve`` then
-evaluates f at the running average of its iterates from the average of their
-residuals instead of applying the data matrix again.
+(``SmoothTerm.residual`` and ``value_from_residual``); ``solve`` then fetches
+each iterate's residual once for its objective, and evaluates f at the
+running average of its iterates from the average of their residuals.
 """
 
 from __future__ import annotations
@@ -79,6 +79,8 @@ class SmoothTerm:
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("beta must be positive")
+        if (self.residual is None) != (self.value_from_residual is None):
+            raise ValueError("residual and value_from_residual must be given together")
 
 
 @dataclass(frozen=True)
@@ -159,13 +161,16 @@ class ProblemSpec:
         return self.f.beta
 
 
-def evaluate_objective(spec: ProblemSpec, x, *, screened: bool = False) -> float:
+def evaluate_objective(spec: ProblemSpec, x, *, residual: np.ndarray | None = None,
+                       screened: bool = False) -> float:
     """Objective f(x) + g(x) + h(A x); may be +inf if an indicator is violated.
 
     Only defined when l is the indicator of the origin (the infimal
     convolution then collapses to h); anything else raises
-    ``UnsupportedObjectiveError``.  ``screened`` skips the ``as_vector``
-    check, for a solver's own iterates, which its step has already checked.
+    ``UnsupportedObjectiveError``.  ``residual``, f's residual at x when the
+    caller has it, gives f(x) as ``f.value_from_residual(residual, x)``.
+    ``screened`` skips the ``as_vector`` check, for a solver's own iterates,
+    which its step has already checked.
     """
     if not spec.lstar.is_zero:
         raise UnsupportedObjectiveError(
@@ -173,7 +178,8 @@ def evaluate_objective(spec: ProblemSpec, x, *, screened: bool = False) -> float
         )
     if not screened:
         x = as_vector(x, spec.x_dim)
-    total = spec.f.value(x) + spec.g.value(x)
+    f_x = spec.f.value(x) if residual is None else spec.f.value_from_residual(residual, x)
+    total = f_x + spec.g.value(x)
     if total == INF:
         return INF
     return total + spec.h.value(spec.A.apply(x))

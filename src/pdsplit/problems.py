@@ -44,25 +44,24 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     beta is 1 / (B + 2*ridge), with B the certified upper bound on ||A^T A||
     from ``DenseMatrixOp.norm_AAt_bound``, so the declared cocoercivity holds.
 
-    The gradient keeps a copy of its two latest points with their residuals
-    r = A x - b.  ``residual`` returns the stored r at a point exactly equal
-    to one of them and computes A x - b otherwise, and ``value`` is
-    ``value_from_residual(residual(x), x)``, so the objective at an iterate
-    whose gradient a solver already took costs no matvec.  The reused r is
-    the array the same expression produced from the same input, so values are
-    bit-identical to a fresh evaluation.  ``solve`` sums these residuals to
-    evaluate f at the running average of its iterates.
+    The gradient keeps the bytes of its latest point with its residual
+    r = A x - b.  ``residual`` returns the stored r at a point with exactly
+    those bytes and computes A x - b otherwise, and ``value`` is
+    ``value_from_residual(residual(x), x)``, so f at the iterate whose
+    gradient a solver just took costs no matvec.  The reused r is the array
+    the same expression produced from the same input, so values are
+    bit-identical to a fresh evaluation.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     beta = 1.0 / (DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge)
-    # ((x copy, residual), ...) newest first; replaced whole, never edited
-    memo: tuple = ()
+    # (bytes, residual) of the latest gradient point; replaced whole, never edited
+    memo = (None, None)
 
     def residual(x):
-        for x_seen, r in memo:
-            if np.array_equal(x_seen, x):
-                return r
+        key, r = memo
+        if np.asarray(x, dtype=float).tobytes() == key:
+            return r
         return A @ x - b
 
     def value_from_residual(r, x):
@@ -74,7 +73,7 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     def gradient(x):
         nonlocal memo
         r = A @ x - b
-        memo = ((np.array(x, dtype=float), r), *memo[:1])
+        memo = (np.asarray(x, dtype=float).tobytes(), r)
         g = A.T @ r
         if ridge:
             g = g + 2.0 * ridge * x

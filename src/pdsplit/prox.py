@@ -64,10 +64,10 @@ def l1(mu: float) -> ProxTerm:
     def conj(s):
         s = np.asarray(s, dtype=float)
         bound = mu * (1.0 + _BOX_SLACK) + 1e-15
-        return 0.0 if np.max(np.abs(s), initial=0.0) <= bound else INF
+        return 0.0 if np.abs(s).max(initial=0.0) <= bound else INF
 
     return ProxTerm(
-        value=lambda x: mu * float(np.sum(np.abs(x))),
+        value=lambda x: mu * float(np.abs(x).sum()),
         prox=lambda v, t: prox_l1(v, t, mu),
         conjugate_value=conj,
     )

@@ -953,17 +953,18 @@ def poisoned(fn, first_bad_call: int, value: float):
 
 
 class TestLoggedRows:
-    """Logged rows reuse the gradient's residual and the gap probe's constant terms."""
+    """Logged rows reuse each iterate's residual and the gap probe's constant terms."""
 
-    def _gap_solve(self, inst, ref, spec=None, hooks=(), algorithm="pd3o", gamma=None):
+    def _gap_solve(self, inst, ref, spec=None, hooks=(), algorithm="pd3o", gamma=None,
+                   log_every=1):
         steps = StepSizes.from_lambda(gamma or inst.beta, 0.125)
         return solve(spec or inst.spec, algorithm, steps,
                      max_iters=60, residual_tol=0.0, norm_AAt=inst.norm_AAt,
-                     reference=(ref.x, ref.s), log_every=1, hooks=hooks)
+                     reference=(ref.x, ref.s), log_every=log_every, hooks=hooks)
 
     @staticmethod
     def _fresh_rows(fresh, ref, xs, expected):
-        """A hook that recomputes each row's objective and gap on ``fresh``."""
+        """A hook that recomputes each iteration's objective and gap on ``fresh``."""
         sums = {}
 
         def recompute(k, state, nxt, res):
@@ -984,43 +985,75 @@ class TestLoggedRows:
         inst, ref = small_fused_lasso, small_reference
         # a term of its own, whose value never sees a gradient point
         fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
-        xs, expected = [], []
-        rec = self._gap_solve(inst, ref, hooks=(self._fresh_rows(fresh, ref, xs, expected),))
-        assert len(rec.rows) == len(expected) == 60
-        for row, (obj, gap, xbar, terms) in zip(rec.rows, expected):
-            assert row.objective == obj, row.iter
-            bound = gap_by_linearity_bound(inst.A, inst.b, xs[:row.iter + 1], xbar,
-                                           terms, gap)
-            assert abs(row.gap - gap) <= bound, row.iter
+        # AFBA sums the residual each of its rows computes, at log_every = 1
+        for algorithm in ("pd3o", "afba"):
+            xs, expected = [], []
+            rec = self._gap_solve(inst, ref, algorithm=algorithm,
+                                  hooks=(self._fresh_rows(fresh, ref, xs, expected),))
+            assert len(rec.rows) == len(expected) == 60
+            for row, (obj, gap, xbar, terms) in zip(rec.rows, expected):
+                assert row.objective == obj, (algorithm, row.iter)
+                bound = gap_by_linearity_bound(inst.A, inst.b, xs[:row.iter + 1], xbar,
+                                               terms, gap)
+                assert abs(row.gap - gap) <= bound, (algorithm, row.iter)
 
     @pytest.mark.parametrize("case", ["afba", "no-residual-oracle"])
     def test_gap_without_the_running_residual_is_a_fresh_evaluation(
             self, small_fused_lasso, small_reference, case):
         inst, ref = small_fused_lasso, small_reference
-        if case == "afba":
-            spec, algorithm, gamma = inst.spec, "afba", inst.beta
+        if case == "afba":  # thinned rows: no residual sum
+            spec, algorithm, gamma, log_every = inst.spec, "afba", inst.beta, 3
             fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
         else:
             c = np.linspace(-60.0, 60.0, inst.spec.x_dim)
             spec = fresh = replace(inst.spec, f=quadratic_distance_term(c))
-            algorithm, gamma = "pd3o", 0.5  # <= beta = 1
+            algorithm, gamma, log_every = "pd3o", 0.5, 1  # gamma <= beta = 1
         xs, expected = [], []
         rec = self._gap_solve(inst, ref, spec=spec, algorithm=algorithm, gamma=gamma,
+                              log_every=log_every,
                               hooks=(self._fresh_rows(fresh, ref, xs, expected),))
-        assert len(rec.rows) == len(expected) == 60
-        for row, (obj, gap, _, _) in zip(rec.rows, expected):
+        assert len(expected) == 60
+        assert len(rec.rows) == (60 if log_every == 1 else 28)
+        for row in rec.rows:
+            obj, gap, _, _ = expected[row.iter]
             assert row.objective == obj, row.iter
             assert row.gap == gap, row.iter
 
-    def test_one_f_value_call_per_gap_row(self, small_fused_lasso, small_reference):
+    @pytest.mark.parametrize("algorithm, theta", [
+        ("pd3o", 1.0), ("pdfp", 1.0), ("condat-vu", 1.0), ("afba", 1.0), ("pd3o", 1.5)])
+    @pytest.mark.parametrize("log_every", [1, 3])
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_objective_column_is_a_fresh_evaluation(self, small_fused_lasso,
+                                                    small_reference, algorithm, theta,
+                                                    log_every, with_reference):
+        inst, ref = small_fused_lasso, small_reference
+        fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
+        # a relaxed run needs theta < 2 - gamma/(2 beta)
+        steps = StepSizes.from_lambda(inst.beta if theta == 1.0 else 0.5 * inst.beta,
+                                      0.125, theta)
+        objectives = []
+        rec = solve(inst.spec, algorithm, steps, max_iters=40, norm_AAt=inst.norm_AAt,
+                    reference=(ref.x, ref.s) if with_reference else None,
+                    log_every=log_every,
+                    hooks=(lambda k, st, nxt, res:
+                           objectives.append(evaluate_objective(fresh, st.x)),))
+        assert len(rec.rows) == (40 if log_every == 1 else 21)
+        for row in rec.rows:
+            assert row.objective == objectives[row.iter], row.iter
+        assert rec.metadata["final_objective"] == evaluate_objective(
+            fresh, rec.final_state.x)
+
+    def test_gap_rows_call_f_value_only_for_the_probe(self, small_fused_lasso,
+                                                      small_reference):
         inst, ref = small_fused_lasso, small_reference
         calls = []
         value = inst.spec.f.value
         f = replace(inst.spec.f, value=lambda x: calls.append(1) or value(x))
         rec = self._gap_solve(inst, ref, spec=replace(inst.spec, f=f))
         assert all(row.gap is not None for row in rec.rows)
-        # per row: the objective; per solve: f(x*) in the probe and the final objective
-        assert len(calls) == len(rec.rows) + 2
+        # the objectives take the residual each step left; only f(x*) in the
+        # probe is evaluated through the value oracle
+        assert len(calls) == 1
 
     def test_diagnostics_apply_A_twice_per_gap_row(self, small_fused_lasso,
                                                    small_reference, counting_spec):

@@ -441,6 +441,19 @@ class TestCompareCommand:
             "inadmissible: the chambolle-pock step requires f = 0\n")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("flag", ["--algorithms", "--gamma-factors", "--lambdas"])
+    def test_an_empty_grid_is_a_config_error(self, tmp_path, monkeypatch, capsys, flag):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("compare computed a reference for an empty grid")
+
+        monkeypatch.setattr(cli, "reference_solution", no_reference)
+        code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--reference-iters", "200", flag, "", "--output",
+                     str(tmp_path / "e.csv")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("config error: the grid is empty")
+        assert os.listdir(tmp_path) == []
+
     def test_cells_past_the_theta_cap_are_skipped(self, tmp_path, capsys):
         # theta = 1.4 is below the cap 2 - gamma/(2 beta) = 1.5 at gamma = beta
         # but not below 1.05 at gamma = 1.9 beta

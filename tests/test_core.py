@@ -66,6 +66,14 @@ class TestObjective:
                 assert mid <= theta * fx + (1 - theta) * fy + 1e-9
 
 
+class TestSmoothTerm:
+    @pytest.mark.parametrize("given", ["residual", "value_from_residual"])
+    def test_a_residual_comes_with_its_value_rule(self, given):
+        with pytest.raises(ValueError, match="together"):
+            SmoothTerm(value=lambda x: 0.0, gradient=np.zeros_like, beta=1.0,
+                       **{given: lambda *args: args[0]})
+
+
 class TestCocoercivity:
     def test_identity_gradient(self):
         term = quadratic_distance_term(np.zeros(6))
