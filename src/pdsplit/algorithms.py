@@ -563,7 +563,7 @@ def solve(
             # objective values are only defined for the l = indicator-of-0 case
             obj = (evaluate_objective(spec, state.x, residual=r, screened=True)
                    if spec.lstar.is_zero else math.nan)
-            dist = None if ref_x is None else math.sqrt((d := state.x - ref_x) @ d)
+            dist = None if ref_x is None else math.sqrt(np.vdot(d := state.x - ref_x, d))
             gap = None
             if gap_probe is not None:
                 r_bar = None if r_sum is None else r_sum / (k + 1)

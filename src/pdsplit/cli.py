@@ -9,13 +9,14 @@ Parameters are entered as (gamma-factor, lambda): the primal step is
 gamma = factor * beta and the dual step is derived as delta = lambda / gamma,
 so a sweep over step sizes is a plain grid over those two numbers.  Every
 command accepts a scheme through ``algorithms.admit``: its premises, then
-theta's cap, then the step-size conditions.  validate reports each scheme's
-first refusal; compare admits every cell before it computes the reference,
-skips the refused ones, and exits 2 and writes nothing when none is admitted.
-compare runs the grid's cells on the calling process and up to one helper
-process per further usable CPU, and writes every output in grid order.  Exit
-codes: 0 success, 1 parse error, 2 inadmissible step sizes or algorithm/problem
-combination, 3 numerical failure.
+theta's cap, then the step-size conditions; validate reports each scheme's
+first refusal.  run and compare solve a cell through one runner.  compare
+refuses repeated series ids, then admits every cell before the reference; it
+skips refused cells, or exits 2 and writes nothing when none is admitted.  It
+runs cells on the caller and a helper per further usable CPU, which rebuilds
+the instance from the caller's settings, passed as fields.  Every output
+follows grid order, each cell's stderr (its warnings once) just before its line.
+Exit codes: 0 success, 1 parse error, 2 inadmissible, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from concurrent.futures import Future
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,10 +150,6 @@ def config_from_text(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
-def load_config(path: str) -> RunConfig:
-    return config_from_text(Path(path).read_text())
-
-
 def build_instance(cfg: RunConfig):
     if cfg.problem == "fused-lasso":
         return gen_fused_lasso(cfg.n, cfg.p, cfg.seed, cfg.noise_var, cfg.mu1, cfg.mu2)
@@ -186,17 +184,20 @@ def _setup_errors():
         raise ConfigParseError(str(err)) from err
 
 
-def _record_to_csv_text(record, series_id=None) -> str:
+def _run_cell(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
+    """The one place a cell is solved, ``run``'s cell or a ``compare`` grid's:
+    ``("ran", the record's metadata)`` with its CSV text under ``"csv"`` (with a
+    series_id column when the cell has one), or ``("failed", fields)``."""
+    try:
+        record = solve(instance.spec, cell["algorithm"], steps, max_iters=cfg.max_iters,
+                       residual_tol=cfg.residual_tol, norm_AAt=instance.norm_AAt,
+                       reference=reference, log_every=cfg.log_every, force=cfg.force)
+    except NumericalFailureError as err:
+        return "failed", {"iteration": err.iteration, "sub_step": err.sub_step,
+                          "message": str(err)}
     buf = io.StringIO()
-    record.write_csv(buf, series_id=series_id)
-    return buf.getvalue()
-
-
-def _solve(cfg: RunConfig, instance, algorithm: str, steps: StepSizes, reference):
-    """One solve of ``algorithm`` on ``instance`` with the run settings of ``cfg``."""
-    return solve(instance.spec, algorithm, steps, max_iters=cfg.max_iters,
-                 residual_tol=cfg.residual_tol, norm_AAt=instance.norm_AAt,
-                 reference=reference, log_every=cfg.log_every, force=cfg.force)
+    record.write_csv(buf, series_id=cell.get("series_id"))
+    return "ran", {**record.metadata, "csv": buf.getvalue()}
 
 
 def cmd_validate(cfg: RunConfig) -> int:
@@ -232,24 +233,21 @@ def cmd_run(cfg: RunConfig) -> int:
     if cfg.reference_iters > 0:
         ref = reference_solution(instance, cfg.reference_iters)
         reference = (ref.x, ref.s)
-    try:
-        record = _solve(cfg, instance, cfg.algorithm, steps, reference)
-    except NumericalFailureError as err:
-        print(f"numerical failure at iteration {err.iteration}: {err}", file=sys.stderr)
+    kind, meta = _run_cell(cfg, instance, reference, {"algorithm": cfg.algorithm}, steps)
+    if kind == "failed":
+        print(f"numerical failure at iteration {meta['iteration']}: {meta['message']}",
+              file=sys.stderr)
         return EXIT_NUMERICAL
 
     out = Path(cfg.output)
-    _atomic_write(out, _record_to_csv_text(record))
-    meta = dict(record.metadata, problem=instance.descriptor)
-    meta["config"] = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}
+    _atomic_write(out, meta.pop("csv"))
+    meta.update(problem=instance.descriptor, config=dataclasses.asdict(cfg))
     _atomic_write(out.with_suffix(out.suffix + ".meta.json"),
                   json.dumps(meta, sort_keys=True, indent=2, default=str) + "\n")
-    print(f"algorithm={record.metadata['algorithm']} "
-          f"iterations={record.metadata['iterations']} "
-          f"objective={record.metadata['final_objective']:.12g} "
-          f"residual={record.metadata['final_residual']:.6g} "
-          f"stop_reason={record.metadata['stop_reason']} "
-          f"residual_metric={record.metadata['residual_metric']}")
+    print(f"algorithm={meta['algorithm']} iterations={meta['iterations']} "
+          f"objective={meta['final_objective']:.12g} "
+          f"residual={meta['final_residual']:.6g} stop_reason={meta['stop_reason']} "
+          f"residual_metric={meta['residual_metric']}")
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -259,16 +257,13 @@ _SERIES_KEYS = ("iterations", "final_objective", "final_residual", "stop_reason"
                 "residual_metric")
 
 
-def _run_cell(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
-    """Solve one admitted grid cell: ``("ran", fields)`` with the cell's CSV
-    text under ``"csv"``, or ``("failed", fields)``."""
-    try:
-        record = _solve(cfg, instance, cell["algorithm"], steps, reference)
-    except NumericalFailureError as err:
-        return "failed", {"iteration": err.iteration, "sub_step": err.sub_step,
-                          "message": str(err)}
-    return "ran", {"csv": _record_to_csv_text(record, series_id=cell["series_id"]),
-                   **{key: record.metadata[key] for key in _SERIES_KEYS}}
+def _cell_outcome(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
+    """A grid cell's outcome ``(kind, value, stderr text)``, alike in every
+    process: the cell's stderr is captured under fresh warning filters, so the
+    cell shows each of its warnings once whatever ran before it."""
+    with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
+        kind, value = _run_cell(cfg, instance, reference, cell, steps)
+    return kind, value, err.getvalue()
 
 
 def _usable_cpus() -> int:
@@ -309,21 +304,19 @@ _HELPER_MAIN = ("import sys; sys.path.insert(0, {root!r}); "
 def _serve_cells() -> None:
     """Main of a helper process.
 
-    Reads ``(config text, grid, reference)`` and then cell indices, pickled, from
-    stdin, and writes one pickled outcome per cell to stdout, with what the
-    cell wrote to stderr.  Returns when the caller closes stdin.
+    Reads ``(config fields, grid, reference)`` and then cell indices, pickled,
+    from stdin, and writes each cell's pickled outcome to stdout.  Returns when
+    the caller closes stdin.
     """
     requests, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
     os.dup2(2, 1)  # a stray print goes to stderr, never into the outcomes
     with contextlib.suppress(EOFError):
-        cfg_text, grid, reference = pickle.load(requests)
-        cfg = config_from_text(cfg_text)
+        fields, grid, reference = pickle.load(requests)
+        cfg = RunConfig(**fields)
         instance = build_instance(cfg)
         while True:
-            cell, steps = grid[pickle.load(requests)]
-            with contextlib.redirect_stderr(io.StringIO()) as err:
-                kind, value = _run_cell(cfg, instance, reference, cell, steps)
-            pickle.dump((kind, value, err.getvalue()), replies)
+            pickle.dump(_cell_outcome(cfg, instance, reference, *grid[pickle.load(requests)]),
+                        replies)
             replies.flush()
 
 
@@ -379,6 +372,10 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
                   "algorithm": AlgorithmId(alg).value, "gamma_factor": gf, "lambda": lam},
                  steps_for(cfg, instance, gamma_factor=gf, lam=lam))
                 for alg, gf, lam in itertools.product(algorithms, gamma_factors, lambdas)]
+        sids = [cell["series_id"] for cell, _ in grid]
+        if len(set(sids)) < len(sids):  # two cells would write one CSV
+            raise ValueError("two grid cells share the series id "
+                             f"{next(s for s in sids if sids.count(s) > 1)!r}")
     refused = {}  # grid index -> why the cell may not run
     for i, (cell, steps) in enumerate(grid):
         try:
@@ -416,7 +413,7 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         with atomic_file(out) as merged:
             merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
             for _ in range(_helper_count(len(admitted), _usable_cpus())):
-                helpers.append(_Helper(todo, cells, (cfg.to_text(), grid, reference)))
+                helpers.append(_Helper(todo, cells, (dataclasses.asdict(cfg), grid, reference)))
             for i, (cell, _) in enumerate(grid):
                 sid = cell["series_id"]
                 if i in refused:
@@ -424,8 +421,8 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
                     manifest["skipped"].append({**cell, "reason": str(refused[i])})
                     continue
                 while mine is not None and not cells[i].done():
-                    _settle(todo, cells[mine],
-                            (*_run_cell(cfg, instance, reference, *grid[mine]), ""))
+                    _settle(todo, cells[mine], _cell_outcome(cfg, instance, reference,
+                                                             *grid[mine]))
                     mine = _claim(todo)
                 kind, value, stderr_text = cells[i].result()
                 sys.stderr.write(stderr_text)
@@ -440,8 +437,8 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
                     cell_text = value.pop("csv")
                     _atomic_write(cell_dir / f"{sid}.csv", cell_text)
                     merged.write(cell_text[cell_text.index("\n") + 1:])
-                    manifest["series"].append(
-                        {**cell, "csv": str(cell_dir / f"{sid}.csv"), **value})
+                    manifest["series"].append({**cell, "csv": str(cell_dir / f"{sid}.csv"),
+                                               **{k: value[k] for k in _SERIES_KEYS}})
                     print(f"ran {sid}: iterations={value['iterations']} "
                           f"objective={value['final_objective']:.12g}")
     except BaseException:
@@ -489,7 +486,7 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+    cfg = config_from_text(Path(args.config).read_text()) if args.config else RunConfig()
     overrides = {}
     for f in dataclasses.fields(RunConfig):
         val = getattr(args, f.name, None)

@@ -2,7 +2,9 @@ import itertools
 import logging
 import math
 import re
+import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1082,6 +1084,19 @@ class TestFiniteScreen:
         # x reaches c in the first pass, so the second screens c-sized vectors
         assert rec.metadata["iterations"] >= 2
         np.testing.assert_allclose(rec.final_state.x, c, rtol=1e-12)
+
+    def test_a_diverging_distance_to_the_reference_does_not_warn(self):
+        inst = gen_fused_lasso(n=20, p=40, seed=7)
+        reference = (np.zeros(inst.spec.x_dim), np.zeros(inst.spec.s_dim))
+        with warnings.catch_warnings(record=True) as caught, \
+                pytest.raises(NumericalFailureError):
+            warnings.simplefilter("always")
+            solve(inst.spec, "pdfp", StepSizes.from_lambda(5.0 * inst.beta, 0.125),
+                  max_iters=2000, norm_AAt=inst.norm_AAt, reference=reference, force=True)
+        # the gradient's own matvec overflows first; dist_to_ref squares without a warning
+        assert caught
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
+                and Path(w.filename).name == "algorithms.py"] == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("oracle, first_bad_call, sub_step", [

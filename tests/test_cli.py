@@ -3,9 +3,11 @@ import json
 import os
 import queue
 import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,7 +236,7 @@ class TestCompareCommand:
         run_cell = cli._run_cell
 
         def counted(cfg, instance, reference, cell, steps):
-            in_caller.append(cell["series_id"])
+            in_caller.append(cell.get("series_id"))
             return run_cell(cfg, instance, reference, cell, steps)
 
         monkeypatch.setattr(cli, "_run_cell", counted)
@@ -454,6 +456,102 @@ class TestCompareCommand:
         assert capsys.readouterr().err.startswith("config error: the grid is empty")
         assert os.listdir(tmp_path) == []
 
+    @pytest.mark.parametrize("grid", [
+        ["--gamma-factors", "1.0,1"],
+        ["--gamma-factors", "1.0,1.0000001"],
+        ["--algorithms", "pd3o,pd3o"],
+    ])
+    def test_a_grid_whose_series_ids_repeat_is_a_config_error(self, tmp_path, monkeypatch,
+                                                               capsys, grid):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("compare computed a reference for a refused grid")
+
+        monkeypatch.setattr(cli, "reference_solution", no_reference)
+        code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--algorithms", "pd3o", *grid, "--lambdas", "0.125",
+                     "--output", str(tmp_path / "d.csv")])
+        assert code == EXIT_PARSE
+        assert capsys.readouterr().err == (
+            "config error: two grid cells share the series id 'pd3o_gf1_lam0.125'\n")
+        assert os.listdir(tmp_path) == []
+
+    def test_a_grid_runs_alike_on_one_and_three_processes(self, tmp_path):
+        # pdfp fails at both forced factors, and each failing cell warns; every
+        # output but wall_time_s is the same whichever process ran a cell.  Each
+        # run is a fresh interpreter, as from the shell, so warnings reach stderr.
+        runs = {}
+        for cpus in (1, 3):
+            cwd = tmp_path / f"cpus{cpus}"
+            cwd.mkdir()
+            argv = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                    "--seed", "7", "--algorithms", "pd3o,pdfp",
+                    "--gamma-factors", "5.0,1.0,5.5", "--force", "--max-iters", "2000",
+                    "--reference-iters", "300", "--output", "g.csv"]
+            code = (f"import sys; from pdsplit import cli; cli._usable_cpus = lambda: {cpus}; "
+                    f"sys.exit(cli.main({argv!r}))")
+            env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                       OPENBLAS_NUM_THREADS="1")
+            proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == EXIT_NUMERICAL, proc.stderr
+            files = {}
+            for path in sorted(cwd.rglob("*")):
+                if path.suffix == ".csv":
+                    rows = read_csv(path)
+                    wall = rows[0].index("wall_time_s")
+                    files[path.relative_to(cwd)] = [row[:wall] + row[wall + 1:] for row in rows]
+                elif path.is_file():
+                    files[path.relative_to(cwd)] = path.read_text()
+            runs[cpus] = proc.stdout, proc.stderr, files
+        assert runs[1] == runs[3]
+        stdout, stderr, files = runs[1]
+        assert sorted(map(str, files)) == [
+            "g.cells/pd3o_gf1_lam0.125.csv", "g.cells/pd3o_gf5.5_lam0.125.csv",
+            "g.cells/pd3o_gf5_lam0.125.csv", "g.cells/pdfp_gf1_lam0.125.csv",
+            "g.csv", "g.csv.manifest.json"]
+        # each failing cell's warnings come just before its failure line
+        failing = stderr.split("numerical failure in ")
+        assert [part.split(" at iteration")[0] for part in failing[1:]] == [
+            "pdfp_gf5_lam0.125", "pdfp_gf5.5_lam0.125"]
+        assert all("RuntimeWarning: overflow" in part for part in failing[:2])
+
+    def test_an_output_path_with_a_newline_runs_on_helpers(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        out = tmp_path / "two\nlines.csv"
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--gamma-factors", "1.0,1.5", "--output", str(out)]) == EXIT_OK
+        manifest = json.loads(out.with_suffix(".csv.manifest.json").read_text())
+        assert len(manifest["series"]) == 4 and manifest["failed"] == []
+
+    def test_run_reports_a_failed_cell_as_compare_records_it(self, tmp_path, monkeypatch,
+                                                             capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        outcomes = []
+        run_cell = cli._run_cell
+
+        def recorded(*args):
+            outcomes.append(run_cell(*args))
+            return outcomes[-1]
+
+        monkeypatch.setattr(cli, "_run_cell", recorded)
+        common = ["--problem", "toy-quadratic", "--n", "6", "--seed", "1", "--lambda", "0.5",
+                  "--max-iters", "3000", "--tol", "0", "--force", "--reference-iters", "200"]
+        with np.errstate(all="ignore"):
+            assert main(["run", *common, "--gamma-factor", "3.0",
+                         "--output", str(tmp_path / "run.csv")]) == EXIT_NUMERICAL
+            run_err = capsys.readouterr().err
+            assert main(["compare", *common, "--algorithms", "pd3o", "--gamma-factors", "3.0",
+                         "--lambdas", "0.5", "--output", str(tmp_path / "grid.csv")]
+                        ) == EXIT_NUMERICAL
+        failed = json.loads((tmp_path / "grid.csv.manifest.json").read_text())["failed"]
+        assert [kind for kind, _ in outcomes] == ["failed", "failed"]
+        assert outcomes[0][1] == {key: failed[0][key]
+                                  for key in ("iteration", "sub_step", "message")}
+        assert run_err.splitlines()[-1] == (
+            f"numerical failure at iteration {failed[0]['iteration']}: {failed[0]['message']}")
+
     def test_cells_past_the_theta_cap_are_skipped(self, tmp_path, capsys):
         # theta = 1.4 is below the cap 2 - gamma/(2 beta) = 1.5 at gamma = beta
         # but not below 1.05 at gamma = 1.9 beta
@@ -540,10 +638,10 @@ class TestMainEntry:
         assert os.listdir(tmp_path) == []
 
     def test_a_value_error_inside_a_solve_surfaces(self, tmp_path, monkeypatch):
-        def broken(*args):
+        def broken(*args, **kwargs):
             raise ValueError("inside the solve")
 
-        monkeypatch.setattr(cli, "_solve", broken)
+        monkeypatch.setattr(cli, "solve", broken)
         with pytest.raises(ValueError, match="inside the solve"):
             main(["run", "--problem", "toy-quadratic", "--n", "4",
                   "--output", str(tmp_path / "x.csv")])
