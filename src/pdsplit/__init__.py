@@ -36,7 +36,6 @@ from .linops import (
     IdentityOp,
     LinearMap,
     ScaledIdentityOp,
-    ZeroOp,
     estimate_norm_AAt,
 )
 from .metrics import (
@@ -58,11 +57,9 @@ from .problems import (
 )
 from .prox import (
     l1,
-    nonneg_indicator,
     prox_conjugate,
     prox_l1,
     prox_sq_l2,
-    project_nonneg,
     squared_l2,
     zero_prox,
 )

@@ -440,6 +440,14 @@ def oracle_calls(spec: ProblemSpec, algorithm: AlgorithmId, passes: int,
             "a_apply": passes, "a_adjoint": start + passes}
 
 
+def check_loop_settings(max_iters: int, residual_tol: float, log_every: int) -> None:
+    """Raise ``ValueError`` for a loop setting ``solve`` cannot honour (a NaN tol too)."""
+    for name, value, least in (("max_iters", max_iters, 1), ("residual_tol", residual_tol, 0),
+                               ("log_every", log_every, 0)):
+        if not value >= least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 def solve(
     spec: ProblemSpec,
     algorithm: AlgorithmId | str,
@@ -495,8 +503,7 @@ def solve(
     (the residual rule, which wins on the last iteration) or ``max_iters``.
     """
     algorithm = AlgorithmId(algorithm)
-    if max_iters < 1:
-        raise ValueError("max_iters must be >= 1")
+    check_loop_settings(max_iters, residual_tol, log_every)
     step_fn = STEP_FUNCTIONS[algorithm]
     beta = spec.beta
     if norm_AAt is None:

@@ -43,6 +43,7 @@ from .algorithms import (
     AlgorithmId,
     StepSizes,
     admit,
+    check_loop_settings,
     solve,
     validate_stepsizes,
 )
@@ -80,7 +81,7 @@ EXIT_NUMERICAL = 3
 
 @dataclass
 class RunConfig:
-    """Flat run description; serializes to key=value lines, round-trip exact."""
+    """Flat run description; ``config_from_text`` reads it from key=value lines."""
 
     problem: str = "fused-lasso"
     n: int = 100
@@ -99,18 +100,6 @@ class RunConfig:
     output: str = "run.csv"
     force: bool = False
     reference_iters: int = 0
-
-    def to_text(self) -> str:
-        lines = []
-        for f in dataclasses.fields(self):
-            key = _KEY_OF.get(f.name, f.name)
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            elif isinstance(value, float):
-                value = repr(value)
-            lines.append(f"{key}={value}")
-        return "\n".join(lines) + "\n"
 
 
 # A setting's config key and flag name where they differ from its field name.
@@ -171,6 +160,13 @@ def _atomic_write(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _check_settings(cfg: RunConfig) -> None:
+    """Refuse, before any set-up, what ``solve`` refuses and a negative reference length."""
+    check_loop_settings(cfg.max_iters, cfg.residual_tol, cfg.log_every)
+    if cfg.reference_iters < 0:
+        raise ValueError(f"reference_iters must be >= 0, got {cfg.reference_iters}")
+
+
 @contextlib.contextmanager
 def _setup_errors():
     """Report a plain ``ValueError`` from a command's set-up (a size, step or
@@ -223,8 +219,7 @@ def cmd_validate(cfg: RunConfig) -> int:
 
 def cmd_run(cfg: RunConfig) -> int:
     with _setup_errors():
-        if cfg.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_settings(cfg)
         instance = build_instance(cfg)
         steps = steps_for(cfg, instance)
         # before the reference; a config file can name an unknown scheme (ValueError)
@@ -362,8 +357,7 @@ class _Helper:
 
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
     with _setup_errors():
-        if cfg.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        _check_settings(cfg)
         if not (algorithms and gamma_factors and lambdas):
             raise ValueError("the grid is empty: give at least one algorithm, "
                              "gamma factor and lambda")

@@ -4,7 +4,8 @@ A problem instance is ``minimize f(x) + g(x) + (h [] l)(A x)`` with f smooth
 (beta-cocoercive gradient), g and h prox-capable, l entering only through the
 gradient of its conjugate, and A a linear operator.  All oracles are
 deterministic functions of their arguments, so trajectories are bitwise
-reproducible, and every term is safe to share between solver runs.  A term
+reproducible for a fixed BLAS thread count (another count may sum a matvec in
+another order), and every term is safe to share between solver runs.  A term
 may keep a private memo that never changes a result: the least-squares term
 keeps the residual A x - b of its latest gradient point for ``residual`` to
 reuse (``problems.least_squares_term``).  A smooth term whose value is a
@@ -104,12 +105,12 @@ class ConjugateSmoothTerm:
 
     With ``is_zero`` set, l is the indicator of the origin, l* == 0, and the
     gradient oracle is identically zero; this is the common case and the only
-    one for which objective values are computed.  ``beta_l`` is the declared
-    cocoercivity constant of grad(l*) in the inverse dual metric.
+    one for which objective values are computed.  Admission (``algorithms.admit``)
+    checks only the scheme's premises, theta, t and r, no cocoercivity of
+    grad(l*): with a smooth l*, step sizes that suit it are the caller's choice.
     """
 
     gradient: Callable[[np.ndarray], np.ndarray]
-    beta_l: float = INF
     is_zero: bool = True
     value: Callable[[np.ndarray], float] | None = None
 
@@ -128,7 +129,6 @@ def zero_conjugate_smooth() -> ConjugateSmoothTerm:
     """l = indicator of the origin, so l* = 0 and grad(l*) = 0."""
     return ConjugateSmoothTerm(
         gradient=np.zeros_like,
-        beta_l=INF,
         is_zero=True,
         value=lambda s: 0.0,
     )

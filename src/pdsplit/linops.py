@@ -142,19 +142,6 @@ class ScaledIdentityOp(LinearMap):
         return self.scale * s
 
 
-class ZeroOp(LinearMap):
-    """The zero map (decouples the dual block entirely)."""
-
-    def norm_AAt_bound(self) -> float:
-        return 0.0
-
-    def _apply(self, x):
-        return np.zeros(self.out_dim)
-
-    def _adjoint(self, s):
-        return np.zeros(self.in_dim)
-
-
 class DifferenceOp(LinearMap):
     """First-order difference operator, (Dx)_i = x_{i+1} - x_i.
 

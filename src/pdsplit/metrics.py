@@ -331,9 +331,9 @@ class ConvergenceRecord:
     """Per-iteration diagnostics plus run metadata.
 
     ``rows`` is thinned by the solver's log-every policy; ``metadata`` carries
-    the algorithm, step sizes, problem descriptor, oracle-call counts and
-    final-state summaries.  ``final_state`` is the in-memory last iterate and
-    is not serialized.
+    the algorithm, step sizes, oracle-call counts and final-state summaries
+    (``run`` adds the problem descriptor).  ``final_state`` is the in-memory
+    last iterate and is not serialized.
     """
 
     rows: list[IterationRow] = field(default_factory=list)

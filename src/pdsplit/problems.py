@@ -175,8 +175,8 @@ def gen_fused_lasso(
     """
     if n < 2 or p < 2:
         raise ValueError("need n, p >= 2")
-    if noise_var <= 0 or mu1 <= 0 or mu2 <= 0:
-        raise ValueError("noise_var, mu1, mu2 must be positive")
+    if not (0 < noise_var < INF and 0 < mu1 < INF and 0 < mu2 < INF):
+        raise ValueError("noise_var, mu1, mu2 must be finite and positive")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, p))
     n_blocks = min(20, p)
@@ -222,8 +222,8 @@ def gen_elastic_net_strongly_convex(
     """
     if n < 2 or p < 2:
         raise ValueError("need n, p >= 2")
-    if mu1 < 0 or mu2 < 0 or a_scale <= 0:
-        raise ValueError("a_scale must be positive, mu1 and mu2 nonnegative")
+    if not (0 <= mu1 < INF and 0 <= mu2 < INF and 0 < a_scale < INF):
+        raise ValueError("need finite mu1, mu2 >= 0 and a finite a_scale > 0")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, p))
     x_true = rng.standard_normal(p)
@@ -274,10 +274,6 @@ class ReferenceSolution:
     x: np.ndarray
     s: np.ndarray
     objective: float
-    iters: int
-    gamma: float
-    delta: float
-    instance_key: str
 
 
 @contextlib.contextmanager
@@ -306,17 +302,14 @@ def cache_directory(cache_dir=None) -> Path:
 
 
 def _load_reference(path: Path, instance_key: str) -> ReferenceSolution | None:
-    """The cached reference at ``path``, or None if it is for another
-    instance or the file is corrupt or truncated."""
+    """The cached reference at ``path``, or None if the file is missing, is
+    for another instance, or is corrupt or truncated."""
     try:
         with np.load(path) as data:
             if str(data["instance_key"]) != instance_key:
                 return None
-            return ReferenceSolution(
-                x=data["x"], s=data["s"], objective=float(data["objective"]),
-                iters=int(data["iters"]), gamma=float(data["gamma"]),
-                delta=float(data["delta"]), instance_key=instance_key,
-            )
+            return ReferenceSolution(x=data["x"], s=data["s"],
+                                     objective=float(data["objective"]))
     except (OSError, ValueError, KeyError, EOFError, zipfile.BadZipFile):
         return None
 
@@ -341,18 +334,14 @@ def reference_solution(
     norm = instance.norm_AAt
     delta = 0.5 / (gamma * norm) if norm > 0 else 1.0 / gamma
 
-    if path.exists():
-        cached = _load_reference(path, instance.instance_key)
-        if cached is not None:
-            return cached
+    cached = _load_reference(path, instance.instance_key)
+    if cached is not None:
+        return cached
 
     record = solve(instance.spec, AlgorithmId.PD3O, StepSizes(gamma, delta),
                    max_iters=iters, residual_tol=0.0, norm_AAt=norm, log_every=0)
     state = record.final_state
-    ref = ReferenceSolution(
-        x=state.x, s=state.s, objective=record.metadata["final_objective"],
-        iters=iters, gamma=gamma, delta=delta, instance_key=instance.instance_key,
-    )
+    ref = ReferenceSolution(x=state.x, s=state.s, objective=record.metadata["final_objective"])
     with atomic_file(path, "wb") as fh:
         np.savez(fh, x=ref.x, s=ref.s, objective=ref.objective, iters=iters,
                  gamma=gamma, delta=delta, instance_key=instance.instance_key)

@@ -39,11 +39,6 @@ def prox_sq_l2(v, t: float, mu: float) -> np.ndarray:
     return np.asarray(v, dtype=float) / (1.0 + 2.0 * t * mu)
 
 
-def project_nonneg(v) -> np.ndarray:
-    """Project onto the nonnegative orthant (idempotent)."""
-    return np.maximum(np.asarray(v, dtype=float), 0.0)
-
-
 def prox_conjugate(h: ProxTerm, v, delta: float) -> np.ndarray:
     """prox of delta * h^* at v, via the Moreau decomposition.
 
@@ -81,19 +76,6 @@ def squared_l2(mu: float) -> ProxTerm:
         prox=lambda v, t: prox_sq_l2(v, t, mu),
         conjugate_value=lambda s: float(s @ s) / (4.0 * mu),
     )
-
-
-def nonneg_indicator() -> ProxTerm:
-    """Indicator of the nonnegative orthant; prox is the projection."""
-
-    def value(x):
-        return 0.0 if np.all(np.asarray(x) >= 0.0) else INF
-
-    def conj(s):
-        s = np.asarray(s, dtype=float)
-        return 0.0 if np.max(s, initial=0.0) <= _BOX_SLACK else INF
-
-    return ProxTerm(value=value, prox=lambda v, t: project_nonneg(v), conjugate_value=conj)
 
 
 def zero_prox() -> ProxTerm:

@@ -12,7 +12,7 @@ from typing import Callable
 import numpy as np
 
 from pdsplit.core import INF, ProxTerm
-from pdsplit.prox import l1, nonneg_indicator, squared_l2, zero_prox
+from pdsplit.prox import l1, squared_l2, zero_prox
 
 
 def sample_cocoercivity(term, samples: int, dim: int, rng_seed: int = 0,
@@ -75,6 +75,16 @@ def prox_optimality_residual(term: ProxTerm, v, t: float, eps: float = 1e-4) -> 
     return worst
 
 
+def orthant_indicator() -> ProxTerm:
+    """Indicator of the nonnegative orthant: prox is the projection, conjugate
+    the indicator of the nonpositive orthant."""
+    return ProxTerm(
+        value=lambda x: 0.0 if np.all(np.asarray(x) >= 0.0) else INF,
+        prox=lambda v, t: np.maximum(np.asarray(v, dtype=float), 0.0),
+        conjugate_value=lambda s: 0.0 if np.max(s, initial=0.0) <= 1e-9 else INF,
+    )
+
+
 @dataclass(frozen=True)
 class ProxCatalogEntry:
     """A named factory and its parameters, so property tests can sweep the catalog."""
@@ -93,6 +103,6 @@ CATALOG: tuple[ProxCatalogEntry, ...] = (
     ProxCatalogEntry("l1_heavy", l1, {"mu": 20.0}),
     ProxCatalogEntry("half_sq_l2", squared_l2, {"mu": 0.5}),
     ProxCatalogEntry("sq_l2", squared_l2, {"mu": 2.0}),
-    ProxCatalogEntry("nonneg", nonneg_indicator, {}, finite_valued=False),
+    ProxCatalogEntry("nonneg", orthant_indicator, {}, finite_valued=False),
     ProxCatalogEntry("zero", zero_prox, {}, finite_valued=False),
 )

@@ -35,7 +35,7 @@ from pdsplit.exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from pdsplit.linops import DenseMatrixOp, IdentityOp, ZeroOp, estimate_norm_AAt
+from pdsplit.linops import DenseMatrixOp, IdentityOp, estimate_norm_AAt
 from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_fused_lasso,
@@ -109,7 +109,7 @@ class TestPd3oStep:
         f = SmoothTerm(value=lambda x: 0.5 * float(x @ x), gradient=lambda x: x.copy(),
                        beta=1.0)
         spec = ProblemSpec(f=f, g=zero_prox(), h=zero_prox(),
-                           lstar=zero_conjugate_smooth(), A=ZeroOp(1, 1))
+                           lstar=zero_conjugate_smooth(), A=DenseMatrixOp(np.zeros((1, 1))))
         steps = StepSizes(1.0, 1.0)
         state = initial_state(spec, steps, "pd3o", np.array([2.0]), np.zeros(1))
         assert state.x[0] == 2.0 and state.grad_f[0] == 2.0
@@ -124,8 +124,8 @@ class TestPd3oStep:
         # and A = I the minimizer is d*(1+c)/(2+c)
         dim, c = 6, 0.7
         d = np.arange(1.0, dim + 1)
-        lstar = ConjugateSmoothTerm(gradient=lambda s: c * s, beta_l=1.0,
-                                    is_zero=False, value=lambda s: 0.5 * c * float(s @ s))
+        lstar = ConjugateSmoothTerm(gradient=lambda s: c * s, is_zero=False,
+                                    value=lambda s: 0.5 * c * float(s @ s))
         spec = ProblemSpec(f=quadratic_distance_term(d), g=zero_prox(),
                            h=squared_l2(0.5), lstar=lstar, A=IdentityOp(dim))
         rec = solve(spec, "pd3o", StepSizes.from_lambda(0.9, 0.5), max_iters=500,
@@ -383,7 +383,7 @@ class TestAfba:
     def test_zero_operator_is_proximal_gradient(self, rng):
         c = rng.standard_normal(6)
         spec = ProblemSpec(f=quadratic_distance_term(c), g=l1(0.4), h=l1(1.0),
-                           lstar=zero_conjugate_smooth(), A=ZeroOp(6, 3))
+                           lstar=zero_conjugate_smooth(), A=DenseMatrixOp(np.zeros((3, 6))))
         steps = StepSizes(0.9, 0.5)
         state = initial_state(spec, steps, "afba")
         xs = [state.x.copy()]
@@ -574,8 +574,8 @@ def premise_breakers():
     spec = ProblemSpec(f=zero_smooth(), g=zero_prox(), h=l1(0.5),
                        lstar=zero_conjugate_smooth(), A=IdentityOp(4))
     steps = StepSizes(0.5, 2.0)
-    smooth_lstar = ConjugateSmoothTerm(gradient=lambda s: 0.5 * s, beta_l=2.0,
-                                       is_zero=False, value=lambda s: 0.25 * float(s @ s))
+    smooth_lstar = ConjugateSmoothTerm(gradient=lambda s: 0.5 * s, is_zero=False,
+                                       value=lambda s: 0.25 * float(s @ s))
     return spec, steps, {
         "f = 0": (replace(spec, f=quadratic_distance_term(np.arange(4.0))), steps),
         "g = 0": (replace(spec, g=l1(0.3)), steps),
@@ -659,6 +659,17 @@ class TestSolve:
         rec = solve(inst.spec, "pd3o", bad, max_iters=10, norm_AAt=1.0, force=True)
         assert rec.metadata["forced"] is True
 
+    @pytest.mark.parametrize("setting", [{"residual_tol": math.nan},
+                                         {"residual_tol": -1e-9}, {"log_every": -1}])
+    def test_refuses_a_bad_loop_setting_before_any_oracle_call(self, setting):
+        inst = gen_toy_quadratic(dim=4, seed=1)
+        calls = []
+        f = replace(inst.spec.f, gradient=lambda x: calls.append(x) or x - inst.c)
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must be >= 0"):
+            solve(replace(inst.spec, f=f), "pd3o", StepSizes.from_lambda(1.0, 0.5),
+                  max_iters=10, norm_AAt=1.0, **setting)
+        assert calls == []
+
     def test_relaxed_run_matches_reference(self, small_fused_lasso, small_reference):
         inst, ref = small_fused_lasso, small_reference
         # theta = 1.4 < 2 - gamma/(2 beta) = 1.5 at gamma = beta
@@ -739,7 +750,7 @@ class TestSolve:
             steps, reference = StepSizes(0.8, 1.0 / 0.8), (c, np.zeros(6))
         elif smooth_lstar:
             spec = replace(spec, lstar=ConjugateSmoothTerm(
-                gradient=lambda s: 0.5 * s, beta_l=2.0, is_zero=False,
+                gradient=lambda s: 0.5 * s, is_zero=False,
                 value=lambda s: 0.25 * float(s @ s)))
         spec, counts = counting_spec(spec)
         start = initial_state(spec, steps, algorithm)
@@ -842,7 +853,7 @@ class TestSolve:
     def test_smooth_lstar_runs_just_below_the_metric_boundary(self):
         inst, steps = self._near_boundary(1.0 - 5e-10)
         spec = replace(inst.spec, lstar=ConjugateSmoothTerm(
-            gradient=lambda s: 0.1 * s, beta_l=10.0, is_zero=False,
+            gradient=lambda s: 0.1 * s, is_zero=False,
             value=lambda s: 0.05 * float(s @ s)))
         rec = solve(spec, "pd3o", steps, max_iters=5, norm_AAt=inst.norm_AAt)
         assert rec.metadata["stepsize_valid"] and rec.metadata["residual_metric"] == "M"

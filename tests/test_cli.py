@@ -34,10 +34,12 @@ def read_csv(path):
 
 class TestConfigFile:
     def test_round_trip_identity(self):
-        cfg = RunConfig(problem="toy-quadratic", n=17, lam=1.0 / 80.0,
-                        gamma_factor=1.99, residual_tol=3.5e-7, force=True,
-                        output="out/dir/x.csv")
-        assert config_from_text(cfg.to_text()) == cfg
+        # one key of each type: str (a path with /), int, float as repr writes it, bool
+        text = ("problem=toy-quadratic\nn=17\nlambda=0.0125\ngamma_factor=1.99\n"
+                "residual_tol=3.5e-07\nforce=true\noutput=out/dir/x.csv\n")
+        assert config_from_text(text) == RunConfig(
+            problem="toy-quadratic", n=17, lam=1.0 / 80.0, gamma_factor=1.99,
+            residual_tol=3.5e-7, force=True, output="out/dir/x.csv")
 
     def test_unknown_key_reports_line(self):
         with pytest.raises(ConfigParseError) as excinfo:
@@ -197,15 +199,13 @@ class TestRunCommand:
         assert {100, 200, 300, 349} <= iters
 
     def test_config_file_with_flag_override(self, tmp_path):
-        cfg = RunConfig(problem="toy-quadratic", n=6, seed=1, gamma_factor=1.0,
-                        lam=0.5, max_iters=100, residual_tol=1e-9,
-                        output=str(tmp_path / "a.csv"))
         path = tmp_path / "run.cfg"
-        path.write_text(cfg.to_text())
+        path.write_text("problem=toy-quadratic\nn=6\nseed=1\ngamma_factor=1.0\nlambda=0.5\n"
+                        f"max_iters=100\nresidual_tol=1e-09\noutput={tmp_path / 'a.csv'}\n")
         out_b = tmp_path / "b.csv"
         code = main(["run", "--config", str(path), "--output", str(out_b)])
         assert code == EXIT_OK
-        assert out_b.exists()
+        assert out_b.exists() and not (tmp_path / "a.csv").exists()
 
 
 class TestCompareCommand:
@@ -630,8 +630,22 @@ class TestMainEntry:
         ["validate", "--n", "1"],
         ["run", "--max-iters", "0"],
         ["compare", "--algorithms", "pd3o,bogus"],
+        ["run", "--log-every", "-5"],
+        ["compare", "--log-every", "-1"],
+        ["run", "--tol", "nan"],
+        ["compare", "--tol=-1e-9"],
+        ["compare", "--reference-iters", "-3"],
+        ["run", "--reference-iters", "-1"],
+        ["run", "--noise-var", "nan"],
+        ["run", "--mu2", "inf"],
+        ["compare", "--mu1", "inf"],
     ])
-    def test_rejected_setup_values_are_config_errors(self, tmp_path, capsys, argv):
+    def test_rejected_setup_values_are_config_errors(self, tmp_path, capsys, monkeypatch,
+                                                       argv):
+        def no_reference(*args, **kwargs):
+            raise AssertionError("a reference was computed for a refused setting")
+
+        monkeypatch.setattr(cli, "reference_solution", no_reference)
         assert main([*argv, "--output", str(tmp_path / "x.csv")]) == EXIT_PARSE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1

