@@ -36,7 +36,6 @@ from .linops import (
     IdentityOp,
     LinearMap,
     ScaledIdentityOp,
-    estimate_norm_AAt,
 )
 from .metrics import (
     ConvergenceRecord,

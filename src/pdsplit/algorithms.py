@@ -57,7 +57,7 @@ from .exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from .linops import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
+from .linops import LinearMap
 from .metrics import (
     ConvergenceRecord,
     IterationRow,
@@ -72,6 +72,9 @@ from .metrics import (
 from .prox import prox_conjugate
 
 logger = logging.getLogger(__name__)
+
+# Nothing calls this name: bench/tracer.py rebinds it, and it goes when that rebinding does.
+estimate_norm_AAt = LinearMap.norm_AAt_bound
 
 # How a value compares with the boundary 1 in a step-size condition.
 _RELATIONS = {"<": lambda v: v < 1.0, "<=": lambda v: at_most(v, 1.0),
@@ -104,8 +107,10 @@ class StepSizes:
     theta: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.delta > 0):
-            raise ValueError("gamma and delta must be positive")
+        # gamma/delta weighs the dual metric M, so it must be finite as well
+        if not (0 < self.gamma < INF and 0 < self.delta < INF and self.gamma / self.delta < INF):
+            raise ValueError("gamma, delta and gamma/delta must be positive and finite, got "
+                             f"gamma={self.gamma!r} delta={self.delta!r}")
         if not self.theta > 0:
             raise ValueError("theta must be positive")
 

@@ -40,14 +40,6 @@ class NumericalFailureError(PdsplitError, ArithmeticError):
         self.iteration = iteration
 
 
-class NormEstimateError(PdsplitError, RuntimeError):
-    """Power iteration failed to meet its tolerance; carries the last estimate."""
-
-    def __init__(self, message, last_estimate):
-        super().__init__(message)
-        self.last_estimate = last_estimate
-
-
 class GeometryViolationError(PdsplitError, ValueError):
     """The dual metric is not positive semidefinite for the given step sizes."""
 

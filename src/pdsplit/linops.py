@@ -4,8 +4,7 @@ Every operator knows its input/output dimensions and exposes ``apply`` and
 ``adjoint_apply``.  ``norm_AAt_bound`` returns an upper bound on ||A A^T||,
 rounding included, which is the number the step-size conditions consume:
 closed forms for the structured operators, an eigensolve of the smaller Gram
-matrix for the others.  ``estimate_norm_AAt`` is a plain power-iteration
-estimate of the same norm; it may fall below it.
+matrix for the others.  It is the package's only source of that norm.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import math
 
 import numpy as np
 
-from .exceptions import DimensionMismatchError, NormEstimateError
+from .exceptions import DimensionMismatchError
 
 _MACHINE_EPS = float(np.finfo(float).eps)
 
@@ -170,51 +169,3 @@ class DifferenceOp(LinearMap):
         out[1:-1] = s[:-1] - s[1:]
         return out
 
-
-def estimate_norm_AAt(
-    op: LinearMap,
-    tol: float = 1e-9,
-    max_iters: int = 200_000,
-    rng_seed: int = 0,
-) -> float:
-    """Estimate ||A A^T|| = max_{||s||=1} ||A A^T s|| by power iteration.
-
-    Iterates s -> A(A^T s) from a seeded random unit vector and stops once two
-    successive Rayleigh quotients differ by less than ``tol`` times the current
-    one, and returns the last quotient times (1 + 10 * tol).  This is an
-    estimate, not a bound: when the top eigenvalues are close together the
-    stop rule fires well below ||A A^T||.  Step-size checks use
-    ``LinearMap.norm_AAt_bound`` instead.
-
-    Deterministic for a fixed ``rng_seed``.  Raises ``NormEstimateError``
-    (carrying the last estimate) when the tolerance is not met in
-    ``max_iters`` iterations.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iters < 1:
-        raise ValueError("max_iters must be positive")
-    rng = np.random.default_rng(rng_seed)
-    s = rng.standard_normal(op.out_dim)
-    norm_s = np.linalg.norm(s)
-    if norm_s == 0.0:  # out_dim >= 1 makes this unreachable in practice
-        s = np.ones(op.out_dim)
-        norm_s = np.linalg.norm(s)
-    s /= norm_s
-
-    rq_prev = None
-    rq = 0.0
-    for _ in range(max_iters):
-        w = op.apply(op.adjoint_apply(s))
-        rq = float(s @ w)  # Rayleigh quotient of AA^T at the unit vector s
-        norm_w = np.linalg.norm(w)
-        if norm_w == 0.0:
-            return 0.0
-        s = w / norm_w
-        if rq_prev is not None and abs(rq - rq_prev) <= tol * max(abs(rq), 1e-300):
-            return rq * (1.0 + 10.0 * tol)
-        rq_prev = rq
-    raise NormEstimateError(
-        f"power iteration did not converge to tol={tol} in {max_iters} iterations",
-        last_estimate=rq,
-    )

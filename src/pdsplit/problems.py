@@ -22,7 +22,7 @@ import numpy as np
 from .algorithms import AlgorithmId, StepSizes, solve
 from .core import INF, ProblemSpec, SmoothTerm, zero_conjugate_smooth
 from .linops import DenseMatrixOp, DifferenceOp, IdentityOp, ScaledIdentityOp
-from .linops import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
+from .algorithms import estimate_norm_AAt  # noqa: F401 -- bench/tracer.py rebinds this name
 from .prox import l1, squared_l2, zero_prox
 
 CACHE_ENV_VAR = "PDSPLIT_CACHE_DIR"

@@ -25,7 +25,7 @@ from pdsplit.core import (
     zero_conjugate_smooth,
     zero_smooth,
 )
-from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp, estimate_norm_AAt
+from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp
 from pdsplit.metrics import (
     MNormContext,
     averagedness_inequality_check,
@@ -49,7 +49,7 @@ def test_criterion_1_reduction_equivalence():
     rng = np.random.default_rng(2024)
     n, p = 20, 30
     B = rng.standard_normal((n, p)) / np.sqrt(n)
-    norm_B = estimate_norm_AAt(DenseMatrixOp(B), tol=1e-12)
+    norm_B = DenseMatrixOp(B).norm_AAt_bound()
     z0, s0 = rng.standard_normal(p), rng.standard_normal(n)
 
     def run(step_fn, spec, steps, state, k=100):
@@ -180,7 +180,7 @@ def test_criterion_4_averagedness():
     rng = np.random.default_rng(77)
     n, p = 15, 12
     B = rng.standard_normal((n, p)) / np.sqrt(n)
-    norm_B = estimate_norm_AAt(DenseMatrixOp(B), tol=1e-12)
+    norm_B = DenseMatrixOp(B).norm_AAt_bound()
     pairs = [
         ((rng.standard_normal(p), rng.standard_normal(n)),
          (rng.standard_normal(p), rng.standard_normal(n)))
@@ -329,12 +329,12 @@ def test_criterion_8_oracle_suite():
             lhs, rhs = float(op.apply(x) @ s), float(x @ op.adjoint_apply(s))
             assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
 
-    # power iteration against the closed-form top eigenvalue of D D^T
+    # the certified norm bound against the closed-form top eigenvalue of D D^T
     p = 500
     exact = 2.0 - 2.0 * np.cos((p - 1) * np.pi / p)
-    est = estimate_norm_AAt(DifferenceOp(p), tol=1e-12, max_iters=1_000_000)
-    norm_err = abs(est - exact) / exact
-    assert norm_err <= 1e-6
+    bound = DifferenceOp(p).norm_AAt_bound()
+    norm_err = (bound - exact) / exact
+    assert 0.0 <= norm_err <= 1e-12
 
     # smooth-term gradients against central finite differences
     terms = [
@@ -357,5 +357,5 @@ def test_criterion_8_oracle_suite():
             worst_fd = max(worst_fd, err)
             assert err <= 1e-5
 
-    report(8, f"prox catalog, adjoints, norm estimate (rel err {norm_err:.1e}), "
-              f"and gradients (worst FD err {worst_fd:.1e}) all within tolerance")
+    report(8, f"prox catalog, adjoints, norm bound (above the closed form by "
+              f"{norm_err:.1e}), and gradients (worst FD err {worst_fd:.1e}) all within tolerance")

@@ -35,7 +35,7 @@ from pdsplit.exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from pdsplit.linops import DenseMatrixOp, IdentityOp, estimate_norm_AAt
+from pdsplit.linops import DenseMatrixOp, IdentityOp
 from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_fused_lasso,
@@ -55,8 +55,7 @@ def random_instance(rng, n=20, p=30, with_f=True, with_g=True):
     g = l1(0.5) if with_g else zero_prox()
     spec = ProblemSpec(f=f, g=g, h=l1(0.8), lstar=zero_conjugate_smooth(),
                        A=DenseMatrixOp(B))
-    norm = estimate_norm_AAt(DenseMatrixOp(B), tol=1e-12)
-    return spec, norm
+    return spec, spec.A.norm_AAt_bound()
 
 
 def run_steps(algorithm, spec, steps, z0, s0, k):
@@ -91,6 +90,14 @@ class TestStepSizes:
             StepSizes(0.0, 1.0)
         with pytest.raises(ValueError):
             StepSizes(1.0, 1.0, theta=0.0)
+
+    @pytest.mark.parametrize("gamma, delta", [
+        (math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan),
+        (1.0, 1e-320),  # gamma/delta, the weight of the dual metric, overflows
+    ])
+    def test_rejects_what_the_solver_cannot_represent(self, gamma, delta):
+        with pytest.raises(ValueError, match="finite"):
+            StepSizes(gamma, delta)
 
 
 class TestPd3oStep:
@@ -324,7 +331,7 @@ class TestPapc:
 
         spec = ProblemSpec(f=quadratic_distance_term(c), g=zero_prox(), h=l1(mu),
                            lstar=zero_conjugate_smooth(), A=DenseMatrixOp(A))
-        norm = estimate_norm_AAt(DenseMatrixOp(A), tol=1e-12)
+        norm = spec.A.norm_AAt_bound()
         rec = solve(spec, "papc", StepSizes.from_lambda(1.0, 0.5 / norm),
                     max_iters=5000, residual_tol=1e-13, norm_AAt=norm)
         assert np.abs(rec.final_state.x - x_star).max() <= 1e-6
@@ -438,7 +445,7 @@ class TestCondatVu:
         B = rng.standard_normal((20, 30)) / 5.0
         spec = ProblemSpec(f=f, g=l1(0.5), h=l1(0.8),
                            lstar=zero_conjugate_smooth(), A=DenseMatrixOp(B))
-        norm = estimate_norm_AAt(DenseMatrixOp(B), tol=1e-12)
+        norm = spec.A.norm_AAt_bound()
         steps = StepSizes.from_lambda(0.8, 0.5 / norm)
         z0, s0 = rng.standard_normal(30), rng.standard_normal(20)
         cv = run_steps("condat-vu", spec, steps, z0, s0, 50)

@@ -639,6 +639,10 @@ class TestMainEntry:
         ["run", "--noise-var", "nan"],
         ["run", "--mu2", "inf"],
         ["compare", "--mu1", "inf"],
+        ["run", "--n", "10", "--p", "20", "--lambda", "inf", "--force"],
+        ["compare", "--n", "10", "--p", "20", "--lambdas", "inf", "--force",
+         "--algorithms", "pd3o"],
+        ["run", "--n", "10", "--p", "20", "--lambda", "1e-320"],
     ])
     def test_rejected_setup_values_are_config_errors(self, tmp_path, capsys, monkeypatch,
                                                        argv):

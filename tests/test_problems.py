@@ -14,7 +14,6 @@ from pdsplit.algorithms import (
     solve,
 )
 from pdsplit.core import evaluate_objective
-from pdsplit.linops import estimate_norm_AAt
 from pdsplit.metrics import linear_rate_rho
 from pdsplit.problems import (
     gen_elastic_net_strongly_convex,
@@ -67,9 +66,8 @@ class TestFusedLassoGenerator:
     def test_difference_norm_matches_cosine_formula(self, small_fused_lasso):
         p = small_fused_lasso.spec.x_dim
         exact = 2.0 - 2.0 * np.cos((p - 1) * np.pi / p)
-        est = estimate_norm_AAt(small_fused_lasso.spec.A, tol=1e-12,
-                                max_iters=500_000)
-        assert abs(est - exact) <= 1e-6 * exact
+        bound = small_fused_lasso.spec.A.norm_AAt_bound()
+        assert abs(bound - exact) <= 1e-12 * exact
 
     def test_declared_beta_is_below_one_over_sigma_max_squared(self, desk_fused_lasso):
         sigma_max = np.linalg.norm(desk_fused_lasso.A, 2)
