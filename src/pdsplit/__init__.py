@@ -4,7 +4,8 @@ Library layout:
 
 - ``core``: oracle contracts (smooth / prox / conjugate-smooth terms) and the
   problem bundle.
-- ``prox``: closed-form proximal operators and the Moreau bridge to conjugates.
+- ``prox``: closed-form proximal operators and conjugate proxes, with the
+  Moreau form for a term that declares none.
 - ``linops``: linear operators with adjoints and certified bounds on ||A A^T||.
 - ``algorithms``: the splitting iterations, step-size validation, solve loop.
 - ``metrics``: the dual-metric geometry, residuals, gap and rate certificates.

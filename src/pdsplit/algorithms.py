@@ -5,11 +5,11 @@ extrapolated point xbar, take a forward-backward primal step, and cache the
 gradient at the new point,
 
     s+ = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
-    z+ = x - gamma*grad f(x) - gamma*A^T s+,    x+ = prox_{gamma g}(z+).
+    z+ = x - gamma*(grad f(x) + A^T s+),    x+ = prox_{gamma g}(z+).
 
 The schemes differ only in the next extrapolated point:
 
-    pd3o               2 x+ - z+ - gamma*grad f(x+) - gamma*A^T s+
+    pd3o               2 x+ - z+ - gamma*(grad f(x+) + A^T s+)
     pd3o-reformulated  2 x+ - x + gamma*grad f(x) - gamma*grad f(x+)
     condat-vu          2 x+ - x
     chambolle-pock     2 x+ - x, for f = 0
@@ -30,7 +30,8 @@ requires of the problem, its step-size conditions and its g-prox calls.
 
 Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
 chosen step into a stopping rule and per-iteration diagnostics collected into
-a ``ConvergenceRecord``.
+a ``ConvergenceRecord``.  A step called directly checks its inputs and
+output; ``solve`` checks once on entry and screens each pass once.
 """
 
 from __future__ import annotations
@@ -54,6 +55,7 @@ from .core import (
 )
 from .exceptions import (
     AlgorithmMisuseError,
+    GeometryViolationError,
     NumericalFailureError,
     StepSizeError,
 )
@@ -145,15 +147,15 @@ class SolverState:
     ats: np.ndarray | None = None
 
 
-def _ensure_finite(v: np.ndarray, sub_step: str) -> np.ndarray:
-    # A NaN or inf entry makes v.v non-finite; only then, or on a finite
-    # overflow of the sum, is the exact entrywise scan run.  (np.vdot, unlike
-    # @, does not warn on that overflow.)
-    if not math.isfinite(np.vdot(v, v)) and not np.all(np.isfinite(v)):
-        raise NumericalFailureError(
-            f"non-finite values produced in {sub_step}", sub_step=sub_step
-        )
-    return v
+def _name_non_finite(state: SolverState, nxt: SolverState, gamma: float, afba: bool,
+                     iteration: int | None = None) -> None:
+    """Raise ``NumericalFailureError`` for the first of s+, x+ (AFBA: its gradient
+    point) and xbar+ of the pass from ``state`` to ``nxt`` with a NaN or inf entry."""
+    x = state.xbar - gamma * (nxt.ats - state.ats) if afba else nxt.x
+    for sub_step, v in (("s-update", nxt.s), ("x-update", x), ("xbar-update", nxt.xbar)):
+        if not np.all(np.isfinite(v)):
+            raise NumericalFailureError(f"non-finite values produced in {sub_step}",
+                                        sub_step=sub_step, iteration=iteration)
 
 
 # What a step requires of the problem and the steps: (holds(spec, steps), what).
@@ -172,11 +174,14 @@ def _require(needs, spec: ProblemSpec, steps: StepSizes, scheme: str):
             raise AlgorithmMisuseError(f"the {scheme} step requires {what}")
 
 
-def _require_fields(state: SolverState, names: tuple, scheme: str):
-    for name in names:
+def _check_step(state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId):
+    """The premises of the scheme's row, then the state fields its step reads."""
+    row = SCHEMES[scheme]
+    _require(row.needs, spec, steps, scheme.value)
+    for name in ("xbar", "ats") + (() if row.rule is None else ("grad_f",)):
         if getattr(state, name) is None:
             raise AlgorithmMisuseError(
-                f"the {scheme} step needs state.{name}; start from initial_state()")
+                f"the {scheme.value} step needs state.{name}; start from initial_state()")
 
 
 # --- the scheme table ----------------------------------------------------------
@@ -202,8 +207,19 @@ class Scheme:
     g_prox: tuple = (1, 1)
 
 
+def _forward(x, grad, ats, gamma):
+    """The forward step x - gamma*(grad + ats), in one new array."""
+    out = grad + ats
+    out *= -gamma
+    out += x
+    return out
+
+
 def _pd3o_point(spec, gamma, prev, nxt, ats):
-    return 2.0 * nxt.x - nxt.z - gamma * nxt.grad_f - gamma * ats
+    out = _forward(nxt.x, nxt.grad_f, ats, gamma)
+    out += nxt.x
+    out -= nxt.z
+    return out
 
 
 def _gradient_corrected_reflection(spec, gamma, prev, nxt, ats):
@@ -215,7 +231,7 @@ def _reflection(spec, gamma, prev, nxt, ats):
 
 
 def _forward_backward_point(spec, gamma, prev, nxt, ats):
-    return spec.g.prox(nxt.x - gamma * nxt.grad_f - gamma * ats, gamma)
+    return spec.g.prox(_forward(nxt.x, nxt.grad_f, ats, gamma), gamma)
 
 
 _T_BELOW = ("gamma*delta*||AA^T||", lambda t, r, lam: t, "<")
@@ -264,7 +280,7 @@ def initial_state(
     state = SolverState(z=z0, s=s0, x=x0, grad_f=spec.f.gradient(x0),
                         ats=spec.A.adjoint_apply(s0))
     if algorithm is AlgorithmId.AFBA:
-        w0 = x0 - gamma * state.grad_f - gamma * state.ats
+        w0 = _forward(x0, state.grad_f, state.ats, gamma)
         xbar0 = spec.g.prox(w0, gamma)
         # the prox output is the iterate the scheme carries forward
         return SolverState(z=w0, s=s0, x=xbar0, xbar=xbar0, ats=state.ats)
@@ -276,38 +292,44 @@ def initial_state(
 
 
 def primal_dual_step(
-    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId | str
+    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId | str,
+    *, checked: bool = False,
 ) -> SolverState:
     """One pass of the shared skeleton, closed by the xbar+ rule of ``scheme``'s row.
 
     With theta != 1 (pd3o only), (z+, s+) and A^T s+ are relaxed toward
     (z, s) and A^T s before the g-prox, so the result is the state at
-    theta*T(z, s) + (1 - theta)*(z, s).  A state lacking xbar, A^T s or the
-    gradient raises ``AlgorithmMisuseError``.
+    theta*T(z, s) + (1 - theta)*(z, s).  A broken premise or a state lacking
+    xbar, A^T s or the gradient raises ``AlgorithmMisuseError``, and a NaN or
+    inf output ``NumericalFailureError``; ``checked=True`` (``solve``'s call,
+    with ``scheme`` an ``AlgorithmId``) skips these checks.
     """
-    scheme = AlgorithmId(scheme)
-    row = SCHEMES[scheme]
-    _require(row.needs, spec, steps, scheme.value)
-    _require_fields(state, ("xbar", "ats", "grad_f"), scheme.value)
+    if not checked:
+        scheme = AlgorithmId(scheme)
+        _check_step(state, spec, steps, scheme)
     gamma, delta, theta = steps.gamma, steps.delta, steps.theta
 
-    arg = state.s + delta * spec.A.apply(state.xbar)
+    arg = delta * spec.A.apply(state.xbar)
+    arg += state.s
     if not spec.lstar.is_zero:
         arg = arg - delta * spec.lstar.gradient(state.s)
-    s_next = _ensure_finite(prox_conjugate(spec.h, arg, delta), "s-update")
+    s_next = prox_conjugate(spec.h, arg, delta)
     ats = spec.A.adjoint_apply(s_next)
-    z_next = state.x - gamma * state.grad_f - gamma * ats
+    z_next = _forward(state.x, state.grad_f, ats, gamma)
     if theta != 1.0:
         z_next = state.z + theta * (z_next - state.z)
         s_next = state.s + theta * (s_next - state.s)
         ats = state.ats + theta * (ats - state.ats)
-    x_next = _ensure_finite(spec.g.prox(z_next, gamma), "x-update")
+    x_next = spec.g.prox(z_next, gamma)
     nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next), ats=ats)
-    nxt.xbar = _ensure_finite(row.rule(spec, gamma, state, nxt, ats), "xbar-update")
+    nxt.xbar = SCHEMES[scheme].rule(spec, gamma, state, nxt, ats)
+    if not checked:
+        _name_non_finite(state, nxt, gamma, afba=False)
     return nxt
 
 
-def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
+def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes, *,
+              checked: bool = False) -> SolverState:
     """Asymmetric forward-backward-adjoint step (the three-function special case).
 
     s+    = prox_{delta h*}(s + delta*A xbar)
@@ -315,20 +337,23 @@ def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> Solver
     xbar+ = prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
 
     The carried iterate (state.x) is the prox output xbar; A^T s comes from
-    the state, so a pass applies A^T once.
+    the state, so a pass applies A^T once.  Checks as ``primal_dual_step``.
     """
-    _require(SCHEMES[AlgorithmId.AFBA].needs, spec, steps, "afba")
-    _require_fields(state, ("xbar", "ats"), "afba")
+    if not checked:
+        _check_step(state, spec, steps, AlgorithmId.AFBA)
     gamma, delta = steps.gamma, steps.delta
 
-    s_next = _ensure_finite(
-        prox_conjugate(spec.h, state.s + delta * spec.A.apply(state.xbar), delta), "s-update"
-    )
+    arg = delta * spec.A.apply(state.xbar)
+    arg += state.s
+    s_next = prox_conjugate(spec.h, arg, delta)
     ats = spec.A.adjoint_apply(s_next)
-    x_mid = _ensure_finite(state.xbar - gamma * (ats - state.ats), "x-update")
-    z_next = x_mid - gamma * spec.f.gradient(x_mid) - gamma * ats
-    xbar_next = _ensure_finite(spec.g.prox(z_next, gamma), "xbar-update")
-    return SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
+    x_mid = state.xbar - gamma * (ats - state.ats)
+    z_next = _forward(x_mid, spec.f.gradient(x_mid), ats, gamma)
+    xbar_next = spec.g.prox(z_next, gamma)
+    nxt = SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
+    if not checked:
+        _name_non_finite(state, nxt, gamma, afba=True)
+    return nxt
 
 
 # Each scheme's step, looked up by ``solve`` at call time: the shared step for
@@ -486,7 +511,7 @@ def solve(
     ``reference``, when given as a pair (x_ref, s_ref), populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic
     gap column evaluated at that probe; the probe's own terms of the
-    Lagrangian are computed on the first gap row and reused after.  When f
+    Lagrangian (A^T s_ref too) are kept from the first gap row on.  When f
     exposes a residual (``SmoothTerm.residual``), each iterate's residual is
     fetched once, right after its step, and feeds its row's objective
     (bit-identical to a fresh evaluation) and, with a gap, the running mean
@@ -498,9 +523,12 @@ def solve(
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
     iteration on the solving thread; on a relaxed run next_state is the
-    relaxed iterate.  An ``init`` lacking xbar, A^T s or (but for AFBA) the
-    gradient, which ``initial_state`` sets, makes the first step raise
-    ``AlgorithmMisuseError``.
+    relaxed iterate.  Checks run once, on entry: the loop settings, ``admit``,
+    the start's fields (``AlgorithmMisuseError`` if an ``init`` lacks one).
+    The steps run unchecked, and each pass is screened once: its residual
+    covers z+ and s+, a dot product xbar+ (and for pdfp, whose xbar+ is a
+    g-prox of x+, x+).  A failed screen scans s+, x+ and xbar+, and a NaN or
+    inf raises ``NumericalFailureError`` with its ``sub_step`` and ``iteration``.
     ``metadata["oracle_calls"]`` is declared by ``oracle_calls``, not counted:
     the start's calls if ``solve`` built the state, plus one pass's per
     iteration; the diagnostics' calls are not in it.
@@ -529,6 +557,9 @@ def solve(
                        "residuals use the seminorm")
 
     state = initial_state(spec, steps, algorithm) if init is None else init
+    # once: every state a step returns carries what the next one reads
+    _check_step(state, spec, steps, algorithm)
+    afba, screen_x = algorithm is AlgorithmId.AFBA, algorithm is AlgorithmId.PDFP
 
     ref_x = ref_s = gap_probe = gap_probe_dist_sq = None
     if reference is not None:
@@ -538,13 +569,10 @@ def solve(
                 and spec.h.conjugate_value is not None and spec.lstar.is_zero):
             gap_probe = LagrangianProbe(ref_x, ref_s)
 
-    # f's residual at each iterate, fetched once and carried to its row.  Every
-    # step but AFBA's takes the gradient at its new x, so a fetch finds it in
-    # f's memo; AFBA's gradient point is not its x, so there a fetch is a
-    # matvec, made only when every row is logged and the gap sums residuals.
+    # f's residual at each iterate, fetched once for its row from f's memo of the
+    # step's gradient; AFBA's gradient point is not its x, so there it is a matvec.
     residual_of = spec.f.residual
-    fetch = residual_of is not None and (algorithm is not AlgorithmId.AFBA
-                                         or (gap_probe is not None and log_every == 1))
+    fetch = residual_of is not None and (not afba or (gap_probe is not None and log_every == 1))
     r = residual_of(state.x) if fetch else None
     if gap_probe is not None:
         if not euclidean:
@@ -558,14 +586,19 @@ def solve(
 
     k = 0
     for k in range(max_iters):
+        nxt = step_fn(state, spec, steps, checked=True)
         try:
-            nxt = step_fn(state, spec, steps)
-        except NumericalFailureError as err:
-            err.iteration = k
+            res = (euclidean_residual(state, nxt) if euclidean
+                   else fixed_point_residual(ctx, state, nxt)) / theta
+        except GeometryViolationError:  # a non-finite pass is named first
+            _name_non_finite(state, nxt, steps.gamma, afba, k)
             raise
+        # the pass's one finiteness screen: res covers z+ and s+, xbar+ the rest; pdfp's
+        # xbar+ is a g-prox of x+, which may map a NaN or inf back, so x+ as well
+        if not (math.isfinite(res) and math.isfinite(np.vdot(nxt.xbar, nxt.xbar))
+                and (not screen_x or math.isfinite(np.vdot(nxt.x, nxt.x)))):
+            _name_non_finite(state, nxt, steps.gamma, afba, k)
         r_next = residual_of(nxt.x) if fetch else None
-        res = (euclidean_residual(state, nxt) if euclidean
-               else fixed_point_residual(ctx, state, nxt)) / theta
         if gap_probe is not None:
             s_sum += nxt.s
 

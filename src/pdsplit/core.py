@@ -98,6 +98,11 @@ class ProxTerm:
     conjugate_value: Callable[[np.ndarray], float] | None = None
     is_zero: bool = False
 
+    @property
+    def conj_prox(self) -> Callable[[np.ndarray, float], np.ndarray] | None:
+        """prox of delta*g* at v as conj_prox(v, delta), if the prox carries one."""
+        return getattr(self.prox, "conj_prox", None)
+
 
 @dataclass(frozen=True)
 class ConjugateSmoothTerm:

@@ -61,12 +61,10 @@ class LinearMap:
         return _gram_bound(m)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        self._check(x, self.in_dim, "apply")
-        return self._apply(np.asarray(x, dtype=float))
+        return self._apply(self._vector(x, self.in_dim, "apply"))
 
     def adjoint_apply(self, s: np.ndarray) -> np.ndarray:
-        self._check(s, self.out_dim, "adjoint_apply")
-        return self._adjoint(np.asarray(s, dtype=float))
+        return self._adjoint(self._vector(s, self.out_dim, "adjoint_apply"))
 
     def _apply(self, x):
         raise NotImplementedError
@@ -74,13 +72,14 @@ class LinearMap:
     def _adjoint(self, s):
         raise NotImplementedError
 
-    def _check(self, v, dim, what):
-        v = np.asarray(v)
-        if v.ndim != 1 or v.shape[0] != dim:
+    def _vector(self, v, dim, what) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != (dim,):
             raise DimensionMismatchError(
                 f"{type(self).__name__}.{what}: expected a vector of length {dim}, "
                 f"got shape {v.shape}"
             )
+        return v
 
 
 class DenseMatrixOp(LinearMap):
@@ -166,6 +165,6 @@ class DifferenceOp(LinearMap):
         out = np.empty(self.in_dim)
         out[0] = -s[0]
         out[-1] = s[-1]
-        out[1:-1] = s[:-1] - s[1:]
+        np.subtract(s[:-1], s[1:], out=out[1:-1])
         return out
 

@@ -32,6 +32,9 @@ from .linops import LinearMap
 # 22x below that.  The band applies to the bracket before the gamma/delta
 # scaling, so it does not widen or narrow with the step ratio.
 _PSD_BAND = 1e-10
+# Where the squares underflow (as in the rescaled norm of a step whose z part is
+# 1e150 times its s part), the bracket errs by a few subnormal spacings instead.
+_UNDERFLOW = float(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -62,16 +65,16 @@ class MNormContext:
 def m_norm_sq(ctx: MNormContext, s) -> float:
     """<s, M s> computed matrix-free as (gamma/delta)(||s||^2 - gamma*delta*||A^T s||^2).
 
-    A bracket inside [-1e-10 * ||s||^2, 0] is clamped to 0 (roundoff at the
-    semidefinite boundary); anything below that band means M is not PSD and
-    raises ``GeometryViolationError``.
+    A bracket inside [-1e-10 * ||s||^2 - ``_UNDERFLOW``, 0] is clamped to 0
+    (roundoff at the semidefinite boundary); anything below that band means M
+    is not PSD and raises ``GeometryViolationError``.
     """
     s = np.asarray(s, dtype=float)
     ss = float(np.vdot(s, s))
     ats = ctx.A.adjoint_apply(s)
     bracket = ss - ctx.gamma * ctx.delta * float(np.vdot(ats, ats))
     if bracket < 0.0:
-        if bracket < -_PSD_BAND * ss:
+        if bracket < -_PSD_BAND * ss - _UNDERFLOW:
             raise GeometryViolationError(
                 f"<s, M s> = {(ctx.gamma / ctx.delta) * bracket} < 0: M is not positive "
                 "semidefinite; the step sizes violate gamma*delta*||A A^T|| <= 1"
@@ -88,12 +91,14 @@ def combined_norm_sq(ctx: MNormContext, z, s) -> float:
 
 def _root(square, z, s) -> float:
     """sqrt(square(z, s)) for a quadratic ``square``; when that square is not
-    finite, c*sqrt(square((z, s)/c)) with c the largest entry of (z, s)."""
+    finite, c*sqrt(square((z, s)/c)) with c the largest entry of (z, s) (c if inf)."""
     sq = square(z, s)
     if math.isfinite(sq):
         return math.sqrt(sq)
     z, s = np.asarray(z, dtype=float), np.asarray(s, dtype=float)
     c = max(np.abs(z).max(initial=0.0), np.abs(s).max(initial=0.0))
+    if not math.isfinite(c):  # an inf or NaN entry
+        return c
     return c * math.sqrt(square(z / c, s / c))
 
 
@@ -119,9 +124,9 @@ class LagrangianProbe:
     """A fixed pair (x, s) whose terms of L ``lagrangian`` computes only once.
 
     Passed to every ``lagrangian`` call of one solve: when the x (or s)
-    argument is the probe's own array, its f + g and A x (or h* and l*) are
-    computed on first use, kept in ``terms`` and reused.  The arrays must not
-    be modified while the probe is in use.
+    argument is the probe's own array, its f + g and A x (or h*, l* and
+    A^T s) are computed on first use, kept in ``terms`` and reused.  The
+    arrays must not be modified while the probe is in use.
     """
 
     x: np.ndarray
@@ -129,35 +134,17 @@ class LagrangianProbe:
     terms: dict = field(default_factory=dict)
 
 
-def _dual_terms(spec: ProblemSpec, s) -> tuple:
-    return spec.h.conjugate_value(s), (0.0 if spec.lstar.is_zero else spec.lstar.value(s))
-
-
-def _primal_terms(spec: ProblemSpec, x, f_x=None) -> tuple:
-    primal = (spec.f.value(x) if f_x is None else f_x) + spec.g.value(x)
-    return primal, (None if primal == INF else spec.A.apply(x))
-
-
-def _terms(probe, name: str, compute, spec: ProblemSpec, v) -> tuple:
-    """compute(spec, v), kept in ``probe`` when v is the probe's own array."""
-    if probe is None or v is not getattr(probe, name):
-        return compute(spec, v)
-    if name not in probe.terms:
-        probe.terms[name] = compute(spec, v)
-    return probe.terms[name]
-
-
 def lagrangian(spec: ProblemSpec, x, s, probe: LagrangianProbe | None = None, *,
                residual: np.ndarray | None = None, screened: bool = False) -> float:
     """L(x, s) = f(x) + g(x) + <A x, s> - h*(s) - l*(s); may be +-inf.
 
-    With ``probe``, the terms of an argument that is the probe's own x or s
-    come from its cache (see ``LagrangianProbe``); the value is unchanged.
-    ``residual`` is f's residual at x (``SmoothTerm.residual``) when the
-    caller already has it, for example as a mean of residuals; f(x) is then
-    ``f.value_from_residual(residual, x)`` and costs no data matvec, and it
-    agrees with a fresh evaluation to roundoff.  ``screened`` skips the
-    ``as_vector`` checks, for arrays a solver has already checked.
+    With ``probe``, the terms of the probe's own x or s come from its cache
+    (see ``LagrangianProbe``), and another x pairs with the probe's s as
+    <x, A^T s>, so no A is applied to it.  ``residual`` is f's residual at x
+    (``SmoothTerm.residual``) when the caller already has it, e.g. a mean of
+    residuals; f(x) is then ``f.value_from_residual(residual, x)``, with no
+    data matvec.  Both agree with a fresh evaluation to roundoff.
+    ``screened`` skips the ``as_vector`` checks, for checked arrays.
     """
     if spec.h.conjugate_value is None:
         raise UnsupportedMetricError("h has no conjugate value oracle")
@@ -166,16 +153,29 @@ def lagrangian(spec: ProblemSpec, x, s, probe: LagrangianProbe | None = None, *,
     if not screened:
         x = as_vector(x, spec.x_dim)
         s = as_vector(s, spec.s_dim, name="s")
-    hstar, lstar = _terms(probe, "s", _dual_terms, spec, s)
+    on_x, on_s = probe is not None and x is probe.x, probe is not None and s is probe.s
+
+    def kept(on_probe, key, compute):  # compute(), kept in the probe if on_probe
+        if not on_probe:
+            return compute()
+        if key not in probe.terms:
+            probe.terms[key] = compute()
+        return probe.terms[key]
+
+    hstar, lstar = kept(on_s, "dual", lambda: (
+        spec.h.conjugate_value(s), 0.0 if spec.lstar.is_zero else spec.lstar.value(s)))
     if hstar == INF or lstar == INF:
         return -INF
-    if residual is None:
-        primal, ax = _terms(probe, "x", _primal_terms, spec, x)
-    else:
-        primal, ax = _primal_terms(spec, x, spec.f.value_from_residual(residual, x))
+    f_x = None if residual is None else spec.f.value_from_residual(residual, x)
+    primal = kept(on_x and f_x is None, "primal", lambda: (
+        (spec.f.value(x) if f_x is None else f_x) + spec.g.value(x)))
     if primal == INF:
         return INF
-    return primal + float(ax @ s) - hstar - lstar
+    if on_s and not on_x:  # <A x, s*> as <x, A^T s*>: no A applied to x
+        coupling = x @ kept(True, "ats", lambda: spec.A.adjoint_apply(s))
+    else:
+        coupling = kept(on_x, "ax", lambda: spec.A.apply(x)) @ s
+    return primal + float(coupling) - hstar - lstar
 
 
 def fixed_point_from_primal_dual(spec: ProblemSpec, x, s, gamma: float) -> np.ndarray:

@@ -10,6 +10,7 @@ from pdsplit.problems import (
     gen_fused_lasso,
     reference_solution,
 )
+from pdsplit.prox import with_conjugate
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -96,8 +97,9 @@ class _CountedMap(LinearMap):
 def _counting_spec(spec):
     """``spec`` with grad f, the g-, h- and grad l* oracles, A and A^T counted.
 
-    Returns the wrapped spec and its live counts, keyed as
-    ``metadata["oracle_calls"]``.
+    A call of h's closed-form conjugate prox counts as an h-prox call, like a
+    call of h's prox through the Moreau form.  Returns the wrapped spec and
+    its live counts, keyed as ``metadata["oracle_calls"]``.
     """
     counts = dict.fromkeys(("f_grad", "g_prox", "h_prox", "lstar_grad",
                             "a_apply", "a_adjoint"), 0)
@@ -108,11 +110,14 @@ def _counting_spec(spec):
             return fn(*args)
         return counted
 
+    h_prox = count("h_prox", spec.h.prox)
+    if spec.h.conj_prox is not None:
+        h_prox = with_conjugate(h_prox, count("h_prox", spec.h.conj_prox))
     wrapped = replace(
         spec,
         f=replace(spec.f, gradient=count("f_grad", spec.f.gradient)),
         g=replace(spec.g, prox=count("g_prox", spec.g.prox)),
-        h=replace(spec.h, prox=count("h_prox", spec.h.prox)),
+        h=replace(spec.h, prox=h_prox),
         lstar=replace(spec.lstar, gradient=count("lstar_grad", spec.lstar.gradient)),
         A=_CountedMap(spec.A, counts),
     )

@@ -32,18 +32,19 @@ from pdsplit.core import (
 )
 from pdsplit.exceptions import (
     AlgorithmMisuseError,
+    GeometryViolationError,
     NumericalFailureError,
     StepSizeError,
 )
 from pdsplit.linops import DenseMatrixOp, IdentityOp
-from pdsplit.metrics import MNormContext, fixed_point_residual, lagrangian
+from pdsplit.metrics import LagrangianProbe, MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_fused_lasso,
     gen_toy_quadratic,
     least_squares_term,
     quadratic_distance_term,
 )
-from pdsplit.prox import l1, squared_l2, zero_prox
+from pdsplit.prox import l1, squared_l2, with_conjugate, zero_prox
 
 
 def random_instance(rng, n=20, p=30, with_f=True, with_g=True):
@@ -935,10 +936,31 @@ class TestSolve:
 U = np.finfo(float).eps / 2  # unit roundoff
 
 
-def gap_by_linearity_bound(A, b, xs, xbar, terms, gap):
+def dense(op):
+    """The matrix of a ``LinearMap``, column by column."""
+    return np.column_stack([op.apply(e) for e in np.eye(op.in_dim)])
+
+
+def coupling_bound(D, xbar, s, terms, gap):
+    """Roundoff bound on |row gap - fresh gap| when only the coupling differs.
+
+    A gap row pairs xbar with s* as <xbar, D^T s*>, a fresh Lagrangian as
+    <D xbar, s*>.  Both are sum_ij xbar_j D_ij s_i; to first order in U each
+    errs by at most (m + p) U |s|^T |D| |xbar| (an m-term sum in each entry of
+    D^T s*, then a p-term dot product, or the other way round), so the two
+    differ by twice that.  Each Lagrangian then rounds four additions of its
+    ``terms``, and each gap one subtraction.
+    """
+    m, p = D.shape
+    coupling = 2 * (m + p) * U * float(np.abs(s) @ np.abs(D) @ np.abs(xbar))
+    return coupling + 8 * U * sum(abs(t) for t in terms) + 2 * U * abs(gap)
+
+
+def gap_by_linearity_bound(A, b, xs, xbar, terms, gap, D, s):
     """Roundoff bound on |gap by linearity - fresh gap| at one row.
 
-    Both gaps share xbar and every term but f(xbar).  The running path takes
+    Both gaps share xbar and every term but f(xbar) and the coupling (see
+    ``coupling_bound``, for the operator D and s*).  The running path takes
     f from the mean of the residuals r_j = A x_j - b of the k+1 iterates; the
     fresh path from A xbar - b.  To first order in U, entrywise, each of the
     two residuals is within (p + m + 1) U R of A mean(x_j) - b, with m = k+1
@@ -946,8 +968,7 @@ def gap_by_linearity_bound(A, b, xs, xbar, terms, gap):
     in each r_j or in A xbar - b; m-1 additions and one division in the mean
     of r_j or of x_j).  So they differ by at most dr = 2 (p + m + 1) U R, and
     the halved squared norms by dr . (|r| + dr/2), plus the n-term rounding
-    of both dot products.  Each Lagrangian then rounds four additions of its
-    ``terms``, and each gap one subtraction.
+    of both dot products.
     """
     n, p = A.shape
     m = len(xs)
@@ -955,7 +976,7 @@ def gap_by_linearity_bound(A, b, xs, xbar, terms, gap):
     r = np.abs(A @ xbar - b)
     dr = 2 * (p + m + 1) * U * R
     df = dr @ (r + dr / 2) + n * U * (r + dr) @ (r + dr)
-    return df + 8 * U * sum(abs(t) for t in terms) + 2 * U * abs(gap)
+    return df + coupling_bound(D, xbar, s, terms, gap)
 
 
 def poisoned(fn, first_bad_call: int, value: float):
@@ -1005,6 +1026,7 @@ class TestLoggedRows:
         inst, ref = small_fused_lasso, small_reference
         # a term of its own, whose value never sees a gradient point
         fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
+        D = dense(inst.spec.A)
         # AFBA sums the residual each of its rows computes, at log_every = 1
         for algorithm in ("pd3o", "afba"):
             xs, expected = [], []
@@ -1014,7 +1036,7 @@ class TestLoggedRows:
             for row, (obj, gap, xbar, terms) in zip(rec.rows, expected):
                 assert row.objective == obj, (algorithm, row.iter)
                 bound = gap_by_linearity_bound(inst.A, inst.b, xs[:row.iter + 1], xbar,
-                                               terms, gap)
+                                               terms, gap, D, ref.s)
                 assert abs(row.gap - gap) <= bound, (algorithm, row.iter)
 
     @pytest.mark.parametrize("case", ["afba", "no-residual-oracle"])
@@ -1034,10 +1056,32 @@ class TestLoggedRows:
                               hooks=(self._fresh_rows(fresh, ref, xs, expected),))
         assert len(expected) == 60
         assert len(rec.rows) == (60 if log_every == 1 else 28)
+        # the row's gap differs from the fresh one only in the coupling's rounding
+        D = dense(inst.spec.A)
         for row in rec.rows:
-            obj, gap, _, _ = expected[row.iter]
+            obj, gap, xbar, terms = expected[row.iter]
             assert row.objective == obj, row.iter
-            assert row.gap == gap, row.iter
+            assert abs(row.gap - gap) <= coupling_bound(D, xbar, ref.s, terms, gap), row.iter
+
+    def test_a_probe_lagrangian_is_a_fresh_one_to_roundoff(self, small_fused_lasso,
+                                                           small_reference, rng):
+        inst, ref = small_fused_lasso, small_reference
+        spec, D = inst.spec, dense(inst.spec.A)
+        probe = LagrangianProbe(ref.x, ref.s)
+        for _ in range(20):
+            # another x pairs with the probe's s* as <x, A^T s*>
+            x = ref.x + rng.standard_normal(spec.x_dim)
+            terms = (spec.f.value(x), spec.g.value(x), float(spec.A.apply(x) @ ref.s),
+                     spec.h.conjugate_value(ref.s))
+            kept = lagrangian(spec, x, ref.s, probe)
+            assert abs(kept - lagrangian(spec, x, ref.s)) <= coupling_bound(
+                D, x, ref.s, terms, 0.0)
+        np.testing.assert_array_equal(probe.terms["ats"], spec.A.adjoint_apply(ref.s))
+        # the probe's x, with s* or another s, pairs as <A x*, s>, as a fresh one does
+        s = rng.uniform(-inst.mu2, inst.mu2, spec.s_dim)
+        for _ in range(2):  # evaluated, then kept
+            assert lagrangian(spec, ref.x, s, probe) == lagrangian(spec, ref.x, s)
+            assert lagrangian(spec, ref.x, ref.s, probe) == lagrangian(spec, ref.x, ref.s)
 
     @pytest.mark.parametrize("algorithm, theta", [
         ("pd3o", 1.0), ("pdfp", 1.0), ("condat-vu", 1.0), ("afba", 1.0), ("pd3o", 1.5)])
@@ -1075,16 +1119,20 @@ class TestLoggedRows:
         # probe is evaluated through the value oracle
         assert len(calls) == 1
 
-    def test_diagnostics_apply_A_twice_per_gap_row(self, small_fused_lasso,
-                                                   small_reference, counting_spec):
+    def test_diagnostics_apply_A_once_per_gap_row(self, small_fused_lasso,
+                                                  small_reference, counting_spec):
         inst, ref = small_fused_lasso, small_reference
         spec, counts = counting_spec(inst.spec)
         rec = self._gap_solve(inst, ref, spec=spec)
         assert all(row.gap is not None for row in rec.rows)
-        diagnostics = counts["a_apply"] - rec.metadata["oracle_calls"]["a_apply"]
-        # per row: h(A x) in the objective and A xbar in L(xbar, s*); per solve:
-        # A x* in the first L(x*, sbar) and h(A x) in the final objective
-        assert diagnostics == 2 * len(rec.rows) + 2
+        declared = rec.metadata["oracle_calls"]
+        # per row: h(A x) in the objective; L(xbar, s*) reads <xbar, A^T s*>.  Per
+        # solve: A x* in the first L(x*, sbar) and h(A x) in the final objective
+        assert counts["a_apply"] - declared["a_apply"] == len(rec.rows) + 2
+        # per iteration: the residual's m_norm_sq.  Per solve: A^T s* in z* and the
+        # m_norm_sq of gap_probe_dist_sq, and A^T s* kept by the probe for L(xbar, s*)
+        assert (counts["a_adjoint"] - declared["a_adjoint"]
+                == rec.metadata["iterations"] + 3)
 
 
 class TestFiniteScreen:
@@ -1137,6 +1185,122 @@ class TestFiniteScreen:
                   max_iters=10, norm_AAt=norm)
         assert excinfo.value.iteration == 1
         assert excinfo.value.sub_step == sub_step
+
+
+# a pass that goes non-finite runs to its end before it is named, so the rest of
+# the pass may warn of an invalid value
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestOneScreenPerPass:
+    """``solve`` runs the steps unchecked and screens each pass once; the names and
+    iterations of its failures are those of the checks inside the step."""
+
+    @staticmethod
+    def _poison(spec, oracle, first_bad_call, value):
+        if oracle == "h-closed-form":  # the h*-prox the step calls for an l1 h
+            h = spec.h
+            return replace(spec, h=replace(h, prox=with_conjugate(
+                h.prox, poisoned(h.conj_prox, first_bad_call, value))))
+        if oracle == "f":
+            return replace(spec, f=replace(spec.f, gradient=poisoned(
+                spec.f.gradient, first_bad_call, value)))
+        term = getattr(spec, oracle)
+        return replace(spec, **{oracle: replace(term, prox=poisoned(
+            term.prox, first_bad_call, value))})
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("algorithm, theta, oracle, first_bad_call, sub_step, iteration", [
+        ("pd3o", 1.0, "h-closed-form", 2, "s-update", 1),
+        ("pd3o", 1.4, "h-closed-form", 2, "s-update", 1),  # s+ is relaxed before the screen
+        ("pd3o", 1.4, "g", 3, "x-update", 1),
+        ("pd3o-reformulated", 1.0, "f", 3, "xbar-update", 1),
+        ("condat-vu", 1.0, "h-closed-form", 2, "s-update", 1),
+        ("condat-vu", 1.0, "g", 3, "x-update", 1),
+        # the reflection does not read grad f(x+): the next pass's x+ shows it
+        ("condat-vu", 1.0, "f", 3, "x-update", 2),
+        # pdfp's start calls the g-prox twice, and so does each pass
+        ("pdfp", 1.0, "g", 3, "x-update", 0),
+        ("pdfp", 1.0, "g", 4, "xbar-update", 0),
+        ("pdfp", 1.0, "f", 3, "xbar-update", 1),
+        ("afba", 1.0, "h-closed-form", 2, "s-update", 1),
+        ("afba", 1.0, "f", 3, "xbar-update", 1),
+        ("afba", 1.0, "g", 4, "xbar-update", 1),  # the start calls the g-prox twice
+    ])
+    def test_a_bad_entry_is_named_by_its_substep_and_iteration(
+            self, rng, algorithm, theta, oracle, first_bad_call, sub_step, iteration, value):
+        spec, norm = random_instance(rng)
+        assert spec.h.conj_prox is not None
+        spec = self._poison(spec, oracle, first_bad_call, value)
+        steps = StepSizes.from_lambda(0.5 * spec.beta, 0.5 / norm, theta=theta)
+        with pytest.raises(NumericalFailureError) as excinfo:
+            solve(spec, algorithm, steps, max_iters=10, norm_AAt=norm)
+        assert (excinfo.value.sub_step, excinfo.value.iteration) == (sub_step, iteration)
+        # a direct step call runs the same checks
+        step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+        spec, _ = random_instance(np.random.default_rng(5))
+        spec = self._poison(spec, oracle, first_bad_call, value)
+        state = initial_state(spec, steps, algorithm)
+        with pytest.raises(NumericalFailureError) as excinfo:
+            for _ in range(3):
+                state = step(state, spec, steps)
+        assert excinfo.value.sub_step == sub_step and excinfo.value.iteration is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_pdfp_names_a_bad_x_that_its_g_prox_maps_back(self, rng, value):
+        # pdfp's xbar+ is a g-prox of x+; a projection built on fmin/fmax maps a NaN
+        # or inf into its box, so xbar+ alone would not show a bad x+
+        spec, norm = random_instance(rng)
+        calls = [0]
+
+        def faulty_clip(v, t):  # the third call is pass 0's x+
+            calls[0] += 1
+            out = np.fmin(np.fmax(v, -1.0), 1.0)
+            if calls[0] == 3:
+                out[1] = value
+            return out
+
+        spec = replace(spec, g=replace(spec.g, prox=faulty_clip))
+        steps = StepSizes.from_lambda(0.5 * spec.beta, 0.5 / norm)
+        with pytest.raises(NumericalFailureError) as excinfo:
+            solve(spec, "pdfp", steps, max_iters=10, norm_AAt=norm)
+        assert (excinfo.value.sub_step, excinfo.value.iteration) == ("x-update", 0)
+        step, state = alg.STEP_FUNCTIONS[AlgorithmId.PDFP], initial_state(spec, steps, "pdfp")
+        calls[0] = 2  # the next call is the pass's x+ again
+        nxt = step(state, spec, steps, checked=True)
+        assert not np.all(np.isfinite(nxt.x)) and np.all(np.isfinite(nxt.xbar))
+        calls[0] = 2  # a direct step call scans x+ as well
+        with pytest.raises(NumericalFailureError, match="x-update"):
+            step(state, spec, steps)
+
+    def test_a_non_finite_pass_is_named_before_the_metric_fails(self, rng, monkeypatch):
+        # a metric that overflows on the pass that went non-finite reports the pass
+        spec, norm = random_instance(rng)
+        spec = self._poison(spec, "g", 3, np.nan)
+        residual = alg.fixed_point_residual
+
+        def overflowing(ctx, state, nxt):
+            if not np.all(np.isfinite(nxt.x)):
+                raise GeometryViolationError("<s, M s> < 0")
+            return residual(ctx, state, nxt)
+
+        monkeypatch.setattr(alg, "fixed_point_residual", overflowing)
+        with pytest.raises(NumericalFailureError) as excinfo:
+            solve(spec, "pd3o", StepSizes.from_lambda(spec.beta, 0.5 / norm),
+                  max_iters=10, norm_AAt=norm)
+        assert (excinfo.value.sub_step, excinfo.value.iteration) == ("x-update", 1)
+
+    def test_a_direct_step_call_checks_the_state(self, small_fused_lasso):
+        # (every premise: TestSchemeTable::test_each_premise_breaks_the_step_by_name)
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.1)
+        for algorithm in ("pd3o", "condat-vu", "afba"):
+            step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+            start = initial_state(inst.spec, steps, algorithm)
+            with pytest.raises(AlgorithmMisuseError, match="xbar"):
+                step(replace(start, xbar=None), inst.spec, steps)
+        # and its premises: chambolle-pock with f != 0
+        start = initial_state(inst.spec, steps, "chambolle-pock")
+        with pytest.raises(AlgorithmMisuseError, match="requires f = 0"):
+            alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](start, inst.spec, steps)
 
 
 class TestStopReason:

@@ -85,6 +85,15 @@ class TestMNorm:
         with pytest.raises(GeometryViolationError):
             m_norm_sq(ctx, s)
 
+    def test_an_underflowed_bracket_is_roundoff(self):
+        # s of size 1e-162 (the rescaled dual part of a step whose primal part is
+        # 1e150 times larger): ||s||^2 underflows to 0 while ||D^T s||^2 rounds up
+        # to subnormals, so the bracket is a few subnormals below 0
+        op = DifferenceOp(40)
+        ctx = MNormContext(0.5, 0.9 / (0.5 * op.norm_AAt_bound()), op)
+        s = 1e-162 * np.resize([1.0, -1.0], 39)
+        assert float(np.vdot(s, s)) == 0.0 and m_norm_sq(ctx, s) == 0.0
+
     def test_combined_norm_blocks(self, rng):
         ctx = MNormContext(0.5, 0.5, DifferenceOp(4))
         z, s = rng.standard_normal(4), rng.standard_normal(3)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from pdsplit.prox import (
     prox_l1,
     prox_sq_l2,
     squared_l2,
+    with_conjugate,
     zero_prox,
 )
+
+EPS = float(np.finfo(float).eps)
 
 
 def scalar_grid_argmin(objective, lo=-10.0, hi=10.0):
@@ -106,6 +111,58 @@ class TestConjugateProx:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             prox_conjugate(l1(1.0), np.ones(2), 0.0)
+
+
+def moreau_conjugate_prox(term, v, delta):
+    """prox of delta*h* at v by the Moreau decomposition v - delta*prox_{h/delta}(v/delta)."""
+    return v - delta * term.prox(v / delta, 1.0 / delta)
+
+
+DECLARED = [e for e in CATALOG if e.make().conj_prox is not None]
+
+
+class TestClosedFormConjugateProx:
+    """Every closed-form conjugate prox a term declares equals the Moreau form."""
+
+    def test_the_catalog_declares_them(self):
+        assert [e.name for e in DECLARED] == ["l1", "l1_heavy", "half_sq_l2", "sq_l2", "zero"]
+
+    @pytest.mark.parametrize("delta", [1e-8, 1.0, 1e8])
+    @pytest.mark.parametrize("entry", DECLARED, ids=lambda e: e.name)
+    def test_matches_the_moreau_form(self, entry, delta, rng):
+        term = entry.make()
+        mu = entry.params.get("mu", 1.0)
+        points = [3.0 * mu * rng.standard_normal(40) for _ in range(5)]
+        # exactly on the boundary of l1's conjugate box, |v_i| = mu, and inside it
+        points += [mu * np.array([1.0, -1.0, -1.0, 1.0]), np.zeros(3)]
+        for v in points:
+            closed = prox_conjugate(term, v, delta)
+            # the Moreau form rounds v/delta, 1/delta*mu, the prox, delta*(...) and the
+            # difference, each by eps relative to at most |v| + mu
+            np.testing.assert_allclose(closed, moreau_conjugate_prox(term, v, delta), rtol=0,
+                                       atol=8 * EPS * (np.abs(v).max() + mu),
+                                       err_msg=f"{entry.name} delta={delta}")
+
+    @pytest.mark.parametrize("delta", [1e-8, 1.0, 1e8])
+    def test_l1_keeps_the_box_boundary_exactly(self, delta):
+        v = 0.7 * np.array([1.0, -1.0, 3.0, -3.0])
+        out = prox_conjugate(l1(0.7), v, delta)
+        np.testing.assert_array_equal(out, 0.7 * np.array([1.0, -1.0, 1.0, -1.0]))
+        assert l1(0.7).conjugate_value(out) == 0.0
+
+    def test_a_term_with_another_prox_falls_back_to_moreau(self, rng):
+        term = l1(1.0)
+        calls = []
+        other = replace(term, prox=lambda v, t: calls.append(t) or term.prox(v, t))
+        assert other.conj_prox is None
+        v = rng.standard_normal(6)
+        np.testing.assert_allclose(prox_conjugate(other, v, 2.0), np.clip(v, -1.0, 1.0),
+                                   atol=1e-15)
+        assert calls == [0.5]
+        again = replace(term, prox=with_conjugate(other.prox, term.conj_prox))
+        prox_conjugate(again, v, 2.0)
+        assert calls == [0.5]
+        assert other.conj_prox is None  # the wrapped prox itself is unchanged
 
 
 class TestOptimalityResidual:

@@ -9,6 +9,7 @@ declared ``oracle_calls``.  A traced ``compare`` run checks both halves.
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pdsplit import cli
@@ -40,6 +41,11 @@ def test_traced_compare_passes_the_cross_check(tracer, tmp_path, monkeypatch, ca
     # the reference and the six admissible cells (condat-vu and afba skip gf 1.5)
     assert len(trace.solves) == 7
     table = tracer.SpanTable(trace)
-    assert table.mask("algorithms.step").sum() > 0
+    steps = np.flatnonzero(table.mask("algorithms.step"))
+    assert steps.size == sum(meta["h_prox"] for _, meta in trace.solves) > 0
+    # the step calls the h*-prox by the name the tracer rebinds, closed form or
+    # not: one prox.hstar_prox span under each step span
+    np.testing.assert_array_equal(np.sort(table.parent[table.mask("prox.hstar_prox")]), steps)
     failures, _ = tracer.cross_check(table, trace.solves)
     assert failures == []
+
