@@ -7,8 +7,8 @@ Library layout:
 - ``prox``: closed-form proximal operators and conjugate proxes, with the
   Moreau form for a term that declares none.
 - ``linops``: linear operators with adjoints and certified bounds on ||A A^T||.
-- ``algorithms``: the splitting iterations, step-size validation, solve loop.
-- ``metrics``: the dual-metric geometry, residuals, gap and rate certificates.
+- ``algorithms``: the splitting passes, step sizes, averagedness, solve loop.
+- ``metrics``: the dual-metric geometry, residuals, gap and rate bounds.
 - ``problems``: reproducible benchmark generators, cached reference solutions
   and the atomic file write the CLI shares.
 - ``cli``: the ``pdsplit`` command-line front end.

@@ -1,8 +1,7 @@
 """Primal-dual splitting iterations, step-size validation, and the solve loop.
 
-Seven schemes share one step, ``primal_dual_step``: update the dual at the
-extrapolated point xbar, take a forward-backward primal step, and cache the
-gradient at the new point,
+Seven schemes share one pass: update the dual at the extrapolated point xbar,
+take a forward-backward primal step, and cache the gradient at the new point,
 
     s+ = prox_{delta h*}(s - delta*grad l*(s) + delta*A xbar)
     z+ = x - gamma*(grad f(x) + A^T s+),    x+ = prox_{gamma g}(z+).
@@ -22,24 +21,26 @@ one conjugate prox, one gradient, one A and one A^T per pass; the reformulated
 rule gives the same iterates without z.  Only these two accept a smooth l*,
 and only pd3o relaxes (theta != 1).  By Moreau, the davis-yin row is the
 three-operator step z+ = z + prox_{gamma h}(w) - x, w = 2x - z - gamma*grad f(x).
-AFBA keeps its own step: it takes the gradient at a point formed after s+ and
-none at its carried x, two branches the shared step would serve for it alone.
+AFBA keeps its own pass: it takes the gradient at a point formed after s+ and
+none at its carried x, two branches the shared pass would serve for it alone.
 
 ``SCHEMES`` holds one row per scheme: its xbar rule and start, what it
 requires of the problem, its step-size conditions and its g-prox calls.
 
-Each step function maps a ``SolverState`` to the next one; ``solve`` wires a
-chosen step into a stopping rule and per-iteration diagnostics collected into
-a ``ConvergenceRecord``.  A step called directly checks its inputs and
-output; ``solve`` checks once on entry and screens each pass once.
+``STEP_FUNCTIONS`` maps each scheme to its bare pass, a map from one
+``SolverState`` to the next that makes no check.  ``primal_dual_step`` is the
+one checked pass: premises and state fields before it, finiteness after.
+``solve`` checks once on entry, runs the bare passes, screens each pass once
+and collects per-iteration diagnostics into a ``ConvergenceRecord``.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import partial
 from typing import Callable, Iterable
@@ -174,11 +175,9 @@ def _require(needs, spec: ProblemSpec, steps: StepSizes, scheme: str):
             raise AlgorithmMisuseError(f"the {scheme} step requires {what}")
 
 
-def _check_step(state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId):
-    """The premises of the scheme's row, then the state fields its step reads."""
-    row = SCHEMES[scheme]
-    _require(row.needs, spec, steps, scheme.value)
-    for name in ("xbar", "ats") + (() if row.rule is None else ("grad_f",)):
+def _check_fields(state: SolverState, scheme: AlgorithmId):
+    """Refuse a state that lacks a field the scheme's pass reads."""
+    for name in ("xbar", "ats") + (() if SCHEMES[scheme].rule is None else ("grad_f",)):
         if getattr(state, name) is None:
             raise AlgorithmMisuseError(
                 f"the {scheme.value} step needs state.{name}; start from initial_state()")
@@ -291,22 +290,14 @@ def initial_state(
 # --- step functions -----------------------------------------------------------
 
 
-def primal_dual_step(
-    state: SolverState, spec: ProblemSpec, steps: StepSizes, scheme: AlgorithmId | str,
-    *, checked: bool = False,
-) -> SolverState:
+def _shared_pass(state: SolverState, spec: ProblemSpec, steps: StepSizes,
+                 scheme: AlgorithmId) -> SolverState:
     """One pass of the shared skeleton, closed by the xbar+ rule of ``scheme``'s row.
 
     With theta != 1 (pd3o only), (z+, s+) and A^T s+ are relaxed toward
     (z, s) and A^T s before the g-prox, so the result is the state at
-    theta*T(z, s) + (1 - theta)*(z, s).  A broken premise or a state lacking
-    xbar, A^T s or the gradient raises ``AlgorithmMisuseError``, and a NaN or
-    inf output ``NumericalFailureError``; ``checked=True`` (``solve``'s call,
-    with ``scheme`` an ``AlgorithmId``) skips these checks.
+    theta*T(z, s) + (1 - theta)*(z, s).
     """
-    if not checked:
-        scheme = AlgorithmId(scheme)
-        _check_step(state, spec, steps, scheme)
     gamma, delta, theta = steps.gamma, steps.delta, steps.theta
 
     arg = delta * spec.A.apply(state.xbar)
@@ -323,24 +314,19 @@ def primal_dual_step(
     x_next = spec.g.prox(z_next, gamma)
     nxt = SolverState(z=z_next, s=s_next, x=x_next, grad_f=spec.f.gradient(x_next), ats=ats)
     nxt.xbar = SCHEMES[scheme].rule(spec, gamma, state, nxt, ats)
-    if not checked:
-        _name_non_finite(state, nxt, gamma, afba=False)
     return nxt
 
 
-def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes, *,
-              checked: bool = False) -> SolverState:
-    """Asymmetric forward-backward-adjoint step (the three-function special case).
+def _afba_pass(state: SolverState, spec: ProblemSpec, steps: StepSizes) -> SolverState:
+    """Asymmetric forward-backward-adjoint pass (the three-function special case).
 
     s+    = prox_{delta h*}(s + delta*A xbar)
     x+    = xbar - gamma*(A^T s+ - A^T s)
     xbar+ = prox_{gamma g}(x+ - gamma*grad f(x+) - gamma*A^T s+)
 
     The carried iterate (state.x) is the prox output xbar; A^T s comes from
-    the state, so a pass applies A^T once.  Checks as ``primal_dual_step``.
+    the state, so a pass applies A^T once.
     """
-    if not checked:
-        _check_step(state, spec, steps, AlgorithmId.AFBA)
     gamma, delta = steps.gamma, steps.delta
 
     arg = delta * spec.A.apply(state.xbar)
@@ -350,18 +336,30 @@ def afba_step(state: SolverState, spec: ProblemSpec, steps: StepSizes, *,
     x_mid = state.xbar - gamma * (ats - state.ats)
     z_next = _forward(x_mid, spec.f.gradient(x_mid), ats, gamma)
     xbar_next = spec.g.prox(z_next, gamma)
-    nxt = SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
-    if not checked:
-        _name_non_finite(state, nxt, gamma, afba=True)
-    return nxt
+    return SolverState(z=z_next, s=s_next, x=xbar_next, xbar=xbar_next, ats=ats)
 
 
-# Each scheme's step, looked up by ``solve`` at call time: the shared step for
-# a row with an xbar rule, AFBA's own step for the row without one.
+# Each scheme's bare pass, called as fn(state, spec, steps) and looked up by
+# ``solve`` at call time: the shared pass for a row with an xbar rule, AFBA's
+# own pass for the row without one.
 STEP_FUNCTIONS: dict[AlgorithmId, Callable] = {
-    scheme: afba_step if row.rule is None else partial(primal_dual_step, scheme=scheme)
+    scheme: _afba_pass if row.rule is None else partial(_shared_pass, scheme=scheme)
     for scheme, row in SCHEMES.items()
 }
+
+
+def primal_dual_step(state: SolverState, spec: ProblemSpec, steps: StepSizes,
+                     scheme: AlgorithmId | str) -> SolverState:
+    """The pass of ``STEP_FUNCTIONS[scheme]`` (by id or name), checked: a broken
+    premise or a state lacking a field the pass reads raises ``AlgorithmMisuseError``
+    before any oracle call, and a NaN or inf in s+, x+ (AFBA: its gradient point)
+    or xbar+ raises ``NumericalFailureError``."""
+    scheme = AlgorithmId(scheme)
+    _require(SCHEMES[scheme].needs, spec, steps, scheme.value)
+    _check_fields(state, scheme)
+    nxt = STEP_FUNCTIONS[scheme](state, spec, steps)
+    _name_non_finite(state, nxt, steps.gamma, afba=scheme is AlgorithmId.AFBA)
+    return nxt
 
 
 # --- step-size conditions -----------------------------------------------------
@@ -451,6 +449,35 @@ def fixed_point_residuals(spec: ProblemSpec, steps: StepSizes, z, s) -> FixedPoi
     return FixedPointResiduals(primal=float(r_primal), dual=float(r_dual))
 
 
+def averagedness_inequality_check(spec: ProblemSpec, steps: StepSizes, pairs: Iterable) -> float:
+    """Numerically certify the one-step averagedness inequality.
+
+    For each pair ((z1, s1), (z2, s2)) applies one unrelaxed pd3o step T
+    (theta = 1, whatever ``steps.theta`` is) to both and evaluates
+
+        ||out-diff||^2 - ||in-diff||^2 + c * ||displacement-diff||^2,
+
+    all in the combined norm, with c = (2*beta - gamma) / (2*beta).  Returns
+    the maximum over pairs; a nonpositive value (up to roundoff) certifies the
+    contraction.  When f = 0 (beta = inf) the coefficient becomes 1 and the
+    same expression is the firm-nonexpansiveness inequality.
+    """
+    steps = replace(steps, theta=1.0)
+    beta, gamma = spec.beta, steps.gamma
+    coeff = 1.0 if beta == INF else (2.0 * beta - gamma) / (2.0 * beta)
+    ctx = MNormContext(gamma, steps.delta, spec.A)
+    worst = -INF
+    for pair in pairs:
+        st1, st2 = (initial_state(spec, steps, "pd3o", z, s) for z, s in pair)
+        out1, out2 = (primal_dual_step(st, spec, steps, AlgorithmId.PD3O) for st in (st1, st2))
+        out_diff = combined_norm_sq(ctx, out1.z - out2.z, out1.s - out2.s)
+        in_diff = combined_norm_sq(ctx, st1.z - st2.z, st1.s - st2.s)
+        disp = combined_norm_sq(ctx, (out1.z - st1.z) - (out2.z - st2.z),
+                                (out1.s - st1.s) - (out2.s - st2.s))
+        worst = max(worst, out_diff - in_diff + coeff * disp)
+    return worst
+
+
 # --- the outer loop -------------------------------------------------------------
 
 
@@ -471,9 +498,12 @@ def oracle_calls(spec: ProblemSpec, algorithm: AlgorithmId, passes: int,
 
 
 def check_loop_settings(max_iters: int, residual_tol: float, log_every: int) -> None:
-    """Raise ``ValueError`` for a loop setting ``solve`` cannot honour (a NaN tol too)."""
+    """Raise ``ValueError`` for a loop setting ``solve`` cannot honour: a count that
+    is not an integer (numpy's pass), or a value below its least (a NaN tol too)."""
     for name, value, least in (("max_iters", max_iters, 1), ("residual_tol", residual_tol, 0),
                                ("log_every", log_every, 0)):
+        if name != "residual_tol" and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not value >= least:
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
@@ -508,7 +538,7 @@ def solve(
     theta*T(z,s) + (1-theta)*(z,s), and the residual, the distance between
     consecutive iterates divided by theta, is still ||T(z,s) - (z,s)||.
 
-    ``reference``, when given as a pair (x_ref, s_ref), populates the
+    ``reference``, a pair (x_ref, s_ref) or None, populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic
     gap column evaluated at that probe; the probe's own terms of the
     Lagrangian (A^T s_ref too) are kept from the first gap row on.  When f
@@ -523,9 +553,11 @@ def solve(
     iteration are always kept.
     ``hooks`` are called as hook(k, state, next_state, residual) every
     iteration on the solving thread; on a relaxed run next_state is the
-    relaxed iterate.  Checks run once, on entry: the loop settings, ``admit``,
-    the start's fields (``AlgorithmMisuseError`` if an ``init`` lacks one).
-    The steps run unchecked, and each pass is screened once: its residual
+    relaxed iterate.  Checks run once, on entry: the loop settings (a count
+    that is not an integer raises ``ValueError``), ``admit``, the reference
+    (``ValueError`` if it is not a pair), the start's fields
+    (``AlgorithmMisuseError`` if an ``init`` lacks one).  The bare passes of
+    ``STEP_FUNCTIONS`` run, and each is screened once: its residual
     covers z+ and s+, a dot product xbar+ (and for pdfp, whose xbar+ is a
     g-prox of x+, x+).  A failed screen scans s+, x+ and xbar+, and a NaN or
     inf raises ``NumericalFailureError`` with its ``sub_step`` and ``iteration``.
@@ -546,7 +578,6 @@ def solve(
         logger.warning("forcing run with invalid step sizes: %s", verdict.violated)
 
     theta = steps.theta
-
     ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
     euclidean = ctx.indefinite
     if euclidean:
@@ -556,18 +587,22 @@ def solve(
         logger.warning("gamma*delta*||AA^T|| = 1: dual metric is only a seminorm; "
                        "residuals use the seminorm")
 
-    state = initial_state(spec, steps, algorithm) if init is None else init
-    # once: every state a step returns carries what the next one reads
-    _check_step(state, spec, steps, algorithm)
-    afba, screen_x = algorithm is AlgorithmId.AFBA, algorithm is AlgorithmId.PDFP
-
     ref_x = ref_s = gap_probe = gap_probe_dist_sq = None
     if reference is not None:
-        ref_x = as_vector(reference[0], spec.x_dim, name="x_ref")
-        ref_s = as_vector(reference[1], spec.s_dim, name="s_ref")
+        try:
+            ref_x, ref_s = reference
+        except (TypeError, ValueError):
+            raise ValueError("reference must be an (x_ref, s_ref) pair") from None
+        ref_x = as_vector(ref_x, spec.x_dim, name="x_ref")
+        ref_s = as_vector(ref_s, spec.s_dim, name="s_ref")
         if (theta == 1.0 and at_most(steps.gamma, beta)
                 and spec.h.conjugate_value is not None and spec.lstar.is_zero):
             gap_probe = LagrangianProbe(ref_x, ref_s)
+
+    state = initial_state(spec, steps, algorithm) if init is None else init
+    # once: every state a pass returns carries what the next one reads
+    _check_fields(state, algorithm)
+    afba, screen_x = algorithm is AlgorithmId.AFBA, algorithm is AlgorithmId.PDFP
 
     # f's residual at each iterate, fetched once for its row from f's memo of the
     # step's gradient; AFBA's gradient point is not its x, so there it is a matvec.
@@ -582,11 +617,9 @@ def solve(
         r_sum = r.copy() if fetch else None
     rows: list[IterationRow] = []
     t_start = time.perf_counter()
-    res = math.inf
 
-    k = 0
-    for k in range(max_iters):
-        nxt = step_fn(state, spec, steps, checked=True)
+    for k in range(max_iters):  # at least once: check_loop_settings wants max_iters >= 1
+        nxt = step_fn(state, spec, steps)
         try:
             res = (euclidean_residual(state, nxt) if euclidean
                    else fixed_point_residual(ctx, state, nxt)) / theta

@@ -174,8 +174,8 @@ def evaluate_objective(spec: ProblemSpec, x, *, residual: np.ndarray | None = No
     convolution then collapses to h); anything else raises
     ``UnsupportedObjectiveError``.  ``residual``, f's residual at x when the
     caller has it, gives f(x) as ``f.value_from_residual(residual, x)``.
-    ``screened`` skips the ``as_vector`` check, for a solver's own iterates,
-    which its step has already checked.
+    ``screened`` skips the ``as_vector`` check, for the iterates of ``solve``,
+    whose passes it screens for NaN and inf.
     """
     if not spec.lstar.is_zero:
         raise UnsupportedObjectiveError(

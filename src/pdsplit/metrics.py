@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import IO, Iterable
+from dataclasses import dataclass, field
+from typing import IO
 
 import numpy as np
 
@@ -223,43 +223,6 @@ def ergodic_gap_bound_check(
     lhs = lagrangian(spec, x_avg, probe_s) - lagrangian(spec, probe_x, s_avg)
     rhs = combined_norm_sq(ctx, z_probe - z0, probe_s - s0) / (2.0 * (k + 1) * ctx.gamma)
     return GapCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
-
-
-def averagedness_inequality_check(spec: ProblemSpec, steps, pairs: Iterable) -> float:
-    """Numerically certify the one-step averagedness inequality.
-
-    For each pair ((z1, s1), (z2, s2)) applies one unrelaxed pd3o step T
-    (theta = 1, whatever ``steps.theta`` is) to both and evaluates
-
-        ||out-diff||^2 - ||in-diff||^2 + c * ||displacement-diff||^2,
-
-    all in the combined norm, with c = (2*beta - gamma) / (2*beta).  Returns
-    the maximum over pairs; a nonpositive value (up to roundoff) certifies the
-    contraction.  When f = 0 (beta = inf) the coefficient becomes 1 and the
-    same expression is the firm-nonexpansiveness inequality.
-    """
-    from .algorithms import AlgorithmId, initial_state, primal_dual_step  # avoids a cycle
-
-    steps = replace(steps, theta=1.0)
-    beta = spec.beta
-    gamma = steps.gamma
-    coeff = 1.0 if beta == INF else (2.0 * beta - gamma) / (2.0 * beta)
-    ctx = MNormContext(steps.gamma, steps.delta, spec.A)
-    worst = -INF
-    for (z1, s1), (z2, s2) in pairs:
-        st1 = initial_state(spec, steps, "pd3o", z1, s1)
-        st2 = initial_state(spec, steps, "pd3o", z2, s2)
-        out1 = primal_dual_step(st1, spec, steps, AlgorithmId.PD3O)
-        out2 = primal_dual_step(st2, spec, steps, AlgorithmId.PD3O)
-        out_diff = combined_norm_sq(ctx, out1.z - out2.z, out1.s - out2.s)
-        in_diff = combined_norm_sq(ctx, st1.z - st2.z, st1.s - st2.s)
-        disp = combined_norm_sq(
-            ctx,
-            (out1.z - st1.z) - (out2.z - st2.z),
-            (out1.s - st1.s) - (out2.s - st2.s),
-        )
-        worst = max(worst, out_diff - in_diff + coeff * disp)
-    return worst
 
 
 def sublinear_rate_bound(k: int, init_dist_sq: float, beta: float, gamma: float) -> float:

@@ -15,6 +15,7 @@ from oracle_checks import CATALOG, prox_optimality_residual
 from pdsplit.algorithms import (
     AlgorithmId,
     StepSizes,
+    averagedness_inequality_check,
     fixed_point_from_primal_dual,
     initial_state,
     solve,
@@ -28,7 +29,6 @@ from pdsplit.core import (
 from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp
 from pdsplit.metrics import (
     MNormContext,
-    averagedness_inequality_check,
     combined_norm_sq,
     linear_rate_rho,
     m_norm_sq,

@@ -4,6 +4,7 @@ import math
 import re
 import warnings
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -238,7 +239,7 @@ class TestChambollePock:
         steps = StepSizes.from_lambda(0.9, 0.5 / norm)
         state = initial_state(spec, steps, "chambolle-pock")
         with pytest.raises(AlgorithmMisuseError):
-            alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](state, spec, steps)
+            alg.primal_dual_step(state, spec, steps, "chambolle-pock")
 
     def test_scalar_hand_example(self):
         # g the indicator of {0}, h = (.)^2/2, gamma = delta = 0.5, from
@@ -275,7 +276,7 @@ class TestPapc:
         steps = StepSizes.from_lambda(spec.beta, 0.5 / norm)
         state = initial_state(spec, steps, "papc")
         with pytest.raises(AlgorithmMisuseError):
-            alg.STEP_FUNCTIONS[AlgorithmId.PAPC](state, spec, steps)
+            alg.primal_dual_step(state, spec, steps, "papc")
 
     def test_gradient_descent_when_h_zero(self, rng):
         c = rng.standard_normal(5)
@@ -344,13 +345,13 @@ class TestDavisYin:
         steps = StepSizes.from_lambda(spec.beta, 0.5 / norm)
         state = initial_state(spec, steps, "pd3o")
         with pytest.raises(AlgorithmMisuseError):
-            alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](state, spec, steps)
+            alg.primal_dual_step(state, spec, steps, "davis-yin")
 
         inst = gen_toy_quadratic(dim=4, seed=0)
         bad = StepSizes(0.5, 1.0)
         with pytest.raises(AlgorithmMisuseError):
-            alg.STEP_FUNCTIONS[AlgorithmId.DAVIS_YIN](
-                initial_state(inst.spec, bad, "davis-yin"), inst.spec, bad)
+            alg.primal_dual_step(initial_state(inst.spec, bad, "davis-yin"), inst.spec, bad,
+                                 "davis-yin")
 
     def test_forward_backward_when_h_zero(self, rng):
         c = rng.standard_normal(5)
@@ -396,7 +397,7 @@ class TestAfba:
         state = initial_state(spec, steps, "afba")
         xs = [state.x.copy()]
         for _ in range(20):
-            state = alg.afba_step(state, spec, steps)
+            state = alg.primal_dual_step(state, spec, steps, "afba")
             xs.append(state.x.copy())
             np.testing.assert_array_equal(state.s, np.zeros(3))
         # reproduce with a plain proximal-gradient recursion from the same start
@@ -428,13 +429,13 @@ class TestRelaxation:
         spec = ProblemSpec(f=zero_smooth(), g=zero_prox(), h=l1(0.5),
                            lstar=zero_conjugate_smooth(), A=IdentityOp(4))
         plain, relaxed = StepSizes(0.5, 2.0), StepSizes(0.5, 2.0, theta=1.2)
-        for algorithm, step in alg.STEP_FUNCTIONS.items():
+        for algorithm in AlgorithmId:
             if algorithm is AlgorithmId.PD3O:
                 continue
             state = initial_state(spec, plain, algorithm, rng.standard_normal(4))
-            step(state, spec, plain)
+            alg.primal_dual_step(state, spec, plain, algorithm)
             with pytest.raises(AlgorithmMisuseError, match="only pd3o relaxes"):
-                step(state, spec, relaxed)
+                alg.primal_dual_step(state, spec, relaxed, algorithm)
 
 
 class TestCondatVu:
@@ -532,11 +533,11 @@ class TestValidateStepsizes:
         for scheme, row in alg.SCHEMES.items():
             assert row.conditions, scheme
             step = alg.STEP_FUNCTIONS[scheme]
-            if row.rule is None:  # a scheme with its own step and start
-                assert row.start is None and step is alg.afba_step
+            if row.rule is None:  # a scheme with its own pass and start
+                assert row.start is None and step is alg._afba_pass
             else:
                 assert row.start is not None
-                assert step.func is alg.primal_dual_step and step.keywords == {"scheme": scheme}
+                assert step.func is alg._shared_pass and step.keywords == {"scheme": scheme}
 
 
 # (t, r, lambda) points; each scheme's verdict at each, None where valid
@@ -607,9 +608,9 @@ class TestSchemeTable:
 
     @pytest.mark.parametrize("algorithm", [a.value for a in AlgorithmId])
     def test_each_premise_breaks_the_step_by_name(self, algorithm, rng):
-        # admit refuses exactly the premises the step refuses, by the same name
+        # admit refuses exactly the premises the checked step refuses, by the same name
         spec, steps, breakers = premise_breakers()
-        step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+        step = partial(alg.primal_dual_step, scheme=algorithm)
         z0 = rng.standard_normal(4)
         step(initial_state(spec, steps, algorithm, z0), spec, steps)
         alg.admit(spec, algorithm, steps, 1.0, force=True)
@@ -640,14 +641,28 @@ class TestSchemeTable:
         assert verdict == validate_stepsizes("pd3o", past_boundary, inst.beta, inst.norm_AAt)
         assert not verdict.valid
 
-    def test_a_scheme_name_steps_like_its_id(self, small_fused_lasso, rng):
-        inst = small_fused_lasso
-        steps = StepSizes.from_lambda(inst.beta, 0.125)
-        state = initial_state(inst.spec, steps, "pd3o", rng.standard_normal(inst.spec.x_dim))
-        by_name = alg.primal_dual_step(state, inst.spec, steps, "pd3o")
-        by_id = alg.STEP_FUNCTIONS[AlgorithmId.PD3O](state, inst.spec, steps)
-        for attr in ("z", "s", "x", "grad_f", "xbar", "ats"):
-            np.testing.assert_array_equal(getattr(by_name, attr), getattr(by_id, attr))
+    @pytest.mark.parametrize("algorithm, theta", [
+        *((a.value, 1.0) for a in AlgorithmId), ("pd3o", 1.4)])
+    def test_the_checked_step_by_name_is_the_bare_pass(self, algorithm, theta, rng):
+        # f = g = 0, A = I and gamma*delta = 1 is a problem every scheme accepts; f and g
+        # are then made nonzero where the scheme allows, so every branch does arithmetic
+        spec, steps, _ = premise_breakers()
+        steps = replace(steps, theta=theta)
+        if algorithm != "chambolle-pock":
+            spec = replace(spec, f=quadratic_distance_term(np.arange(4.0)))
+        if algorithm != "papc":
+            spec = replace(spec, g=l1(0.3))
+        state = initial_state(spec, steps, algorithm, rng.standard_normal(4),
+                              rng.standard_normal(4))
+        for _ in range(3):
+            checked = alg.primal_dual_step(state, spec, steps, algorithm)
+            bare = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)](state, spec, steps)
+            for attr in ("z", "s", "x", "grad_f", "xbar", "ats"):
+                a, b = getattr(checked, attr), getattr(bare, attr)
+                assert (a is None) == (b is None), attr
+                if a is not None:
+                    assert a.tobytes() == b.tobytes(), (algorithm, attr)
+            state = bare
 
 
 class TestSolve:
@@ -677,6 +692,30 @@ class TestSolve:
             solve(replace(inst.spec, f=f), "pd3o", StepSizes.from_lambda(1.0, 0.5),
                   max_iters=10, norm_AAt=1.0, **setting)
         assert calls == []
+
+    @pytest.mark.parametrize("setting", [{"max_iters": 2.5}, {"log_every": 2.5}])
+    def test_refuses_a_count_that_is_not_an_integer(self, setting):
+        inst = gen_toy_quadratic(dim=4, seed=1)
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must be an integer"):
+            solve(inst.spec, "pd3o", StepSizes.from_lambda(1.0, 0.5), norm_AAt=1.0,
+                  **{"max_iters": 10, **setting})
+
+    def test_numpy_integer_counts_pass(self, small_fused_lasso):
+        inst = small_fused_lasso
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125),
+                    norm_AAt=inst.norm_AAt, max_iters=np.int64(30), log_every=np.int32(20))
+        assert rec.metadata["iterations"] == 30
+        assert list(rec.iters()) == [*range(11), 20, 29]
+
+    @pytest.mark.parametrize("shape", ["record", "1-tuple", "3-tuple"])
+    def test_refuses_a_reference_that_is_not_a_pair(self, shape, small_fused_lasso,
+                                                    small_reference):
+        inst, ref = small_fused_lasso, small_reference
+        reference = {"record": ref, "1-tuple": (ref.x,),
+                     "3-tuple": (ref.x, ref.s, ref.objective)}[shape]
+        with pytest.raises(ValueError, match=re.escape("(x_ref, s_ref) pair")):
+            solve(inst.spec, "pd3o", StepSizes.from_lambda(inst.beta, 0.125), max_iters=3,
+                  norm_AAt=inst.norm_AAt, reference=reference)
 
     def test_relaxed_run_matches_reference(self, small_fused_lasso, small_reference):
         inst, ref = small_fused_lasso, small_reference
@@ -1191,8 +1230,8 @@ class TestFiniteScreen:
 # the pass may warn of an invalid value
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestOneScreenPerPass:
-    """``solve`` runs the steps unchecked and screens each pass once; the names and
-    iterations of its failures are those of the checks inside the step."""
+    """``solve`` runs the bare passes and screens each once; its failures carry the
+    names of ``primal_dual_step``'s checks, and their iterations."""
 
     @staticmethod
     def _poison(spec, oracle, first_bad_call, value):
@@ -1234,14 +1273,13 @@ class TestOneScreenPerPass:
         with pytest.raises(NumericalFailureError) as excinfo:
             solve(spec, algorithm, steps, max_iters=10, norm_AAt=norm)
         assert (excinfo.value.sub_step, excinfo.value.iteration) == (sub_step, iteration)
-        # a direct step call runs the same checks
-        step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
+        # the checked step runs the same checks
         spec, _ = random_instance(np.random.default_rng(5))
         spec = self._poison(spec, oracle, first_bad_call, value)
         state = initial_state(spec, steps, algorithm)
         with pytest.raises(NumericalFailureError) as excinfo:
             for _ in range(3):
-                state = step(state, spec, steps)
+                state = alg.primal_dual_step(state, spec, steps, algorithm)
         assert excinfo.value.sub_step == sub_step and excinfo.value.iteration is None
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -1263,13 +1301,13 @@ class TestOneScreenPerPass:
         with pytest.raises(NumericalFailureError) as excinfo:
             solve(spec, "pdfp", steps, max_iters=10, norm_AAt=norm)
         assert (excinfo.value.sub_step, excinfo.value.iteration) == ("x-update", 0)
-        step, state = alg.STEP_FUNCTIONS[AlgorithmId.PDFP], initial_state(spec, steps, "pdfp")
+        state = initial_state(spec, steps, "pdfp")
         calls[0] = 2  # the next call is the pass's x+ again
-        nxt = step(state, spec, steps, checked=True)
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PDFP](state, spec, steps)
         assert not np.all(np.isfinite(nxt.x)) and np.all(np.isfinite(nxt.xbar))
-        calls[0] = 2  # a direct step call scans x+ as well
+        calls[0] = 2  # the checked step scans x+ as well
         with pytest.raises(NumericalFailureError, match="x-update"):
-            step(state, spec, steps)
+            alg.primal_dual_step(state, spec, steps, "pdfp")
 
     def test_a_non_finite_pass_is_named_before_the_metric_fails(self, rng, monkeypatch):
         # a metric that overflows on the pass that went non-finite reports the pass
@@ -1293,14 +1331,13 @@ class TestOneScreenPerPass:
         inst = small_fused_lasso
         steps = StepSizes.from_lambda(inst.beta, 0.1)
         for algorithm in ("pd3o", "condat-vu", "afba"):
-            step = alg.STEP_FUNCTIONS[AlgorithmId(algorithm)]
             start = initial_state(inst.spec, steps, algorithm)
             with pytest.raises(AlgorithmMisuseError, match="xbar"):
-                step(replace(start, xbar=None), inst.spec, steps)
+                alg.primal_dual_step(replace(start, xbar=None), inst.spec, steps, algorithm)
         # and its premises: chambolle-pock with f != 0
         start = initial_state(inst.spec, steps, "chambolle-pock")
         with pytest.raises(AlgorithmMisuseError, match="requires f = 0"):
-            alg.STEP_FUNCTIONS[AlgorithmId.CHAMBOLLE_POCK](start, inst.spec, steps)
+            alg.primal_dual_step(start, inst.spec, steps, AlgorithmId.CHAMBOLLE_POCK)
 
 
 class TestStopReason:

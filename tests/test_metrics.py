@@ -1,6 +1,8 @@
+import ast
 import io
 import math
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,11 +11,13 @@ import pytest
 from pdsplit.algorithms import (
     AlgorithmId,
     StepSizes,
+    averagedness_inequality_check,
     fixed_point_from_primal_dual,
     initial_state,
     primal_dual_step,
     solve,
 )
+from pdsplit import metrics
 from pdsplit.core import ProblemSpec, zero_conjugate_smooth, zero_smooth
 from pdsplit.exceptions import GeometryViolationError, HypothesisViolationError
 from pdsplit.linops import DenseMatrixOp, DifferenceOp, IdentityOp
@@ -22,7 +26,6 @@ from pdsplit.metrics import (
     GapCheck,
     IterationRow,
     MNormContext,
-    averagedness_inequality_check,
     combined_norm,
     combined_norm_sq,
     euclidean_residual,
@@ -331,3 +334,16 @@ class TestOverflowingSquares:
         norm_c = 6e200 * math.sqrt(unit @ unit)
         assert combined == pytest.approx(norm_c * math.sqrt(1.0 + (1.0 - 0.25)), rel=1e-14)
         assert euclidean == pytest.approx(norm_c * math.sqrt(2.0), rel=1e-14)
+
+
+def test_metrics_imports_nothing_from_algorithms():
+    # algorithms builds on metrics, never the other way round
+    tree = ast.parse(Path(metrics.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        assert not any("algorithms" in name.split(".") for name in names), ast.dump(node)
