@@ -370,6 +370,7 @@ class StepSizeVerdict:
     valid: bool
     violated: str | None
     details: dict
+    norm_AAt: float
 
     def __bool__(self):
         return self.valid
@@ -396,25 +397,29 @@ def validate_stepsizes(
     for what, value, relation in SCHEMES[algorithm].conditions:
         v = value(t, r, steps.lam)
         if not _RELATIONS[relation](v):
-            return StepSizeVerdict(False, f"{what} = {v!r} must be {relation} 1", details)
-    return StepSizeVerdict(True, None, details)
+            return StepSizeVerdict(False, f"{what} = {v!r} must be {relation} 1", details,
+                                   norm_AAt)
+    return StepSizeVerdict(True, None, details, norm_AAt)
 
 
 def admit(spec: ProblemSpec, algorithm: AlgorithmId | str, steps: StepSizes,
-          norm_AAt: float, force: bool = False) -> StepSizeVerdict:
+          norm_AAt: float | None, force: bool = False) -> StepSizeVerdict:
     """Whether ``algorithm`` may run on ``spec`` with ``steps``: the one check
     that ``solve`` and the CLI's validate and compare share.
 
     In order: the premises of the scheme's row (``AlgorithmMisuseError``);
     theta = 1 or theta in (0, 2 - gamma/(2 beta)) (``StepSizeError``); the
     step-size conditions of ``validate_stepsizes``, whose failure raises
-    ``StepSizeError`` unless ``force`` is set.  Returns that verdict.
+    ``StepSizeError`` unless ``force`` is set.  Returns that verdict, with the
+    ``norm_AAt`` used: None reads ``spec.A.norm_AAt_bound()`` after theta.
     """
     algorithm = AlgorithmId(algorithm)
     _require(SCHEMES[algorithm].needs, spec, steps, algorithm.value)
     cap = 2.0 if spec.beta == INF else 2.0 - steps.gamma / (2.0 * spec.beta)
     if steps.theta != 1.0 and not steps.theta < cap:
         raise StepSizeError(f"theta = {steps.theta} must lie in (0, {cap:.6g}) for these steps")
+    if norm_AAt is None:
+        norm_AAt = spec.A.norm_AAt_bound()
     verdict = validate_stepsizes(algorithm, steps, spec.beta, norm_AAt)
     if not (verdict.valid or force):
         raise StepSizeError(f"step sizes rejected for {algorithm.value}: {verdict.violated}")
@@ -571,9 +576,8 @@ def solve(
     check_loop_settings(max_iters, residual_tol, log_every)
     step_fn = STEP_FUNCTIONS[algorithm]
     beta = spec.beta
-    if norm_AAt is None:
-        norm_AAt = spec.A.norm_AAt_bound()
     verdict = admit(spec, algorithm, steps, norm_AAt, force)
+    norm_AAt = verdict.norm_AAt
     if not verdict.valid:
         logger.warning("forcing run with invalid step sizes: %s", verdict.violated)
 

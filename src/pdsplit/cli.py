@@ -13,8 +13,8 @@ theta's cap, then the step-size conditions; validate reports each scheme's
 first refusal.  run and compare solve a cell through one runner.  compare
 refuses repeated series ids, then admits every cell before the reference; it
 skips refused cells, or exits 2 and writes nothing when none is admitted.  It
-runs cells on the caller and a helper per further usable CPU, which rebuilds
-the instance from the caller's settings, passed as fields.  Every output
+runs cells on the caller and, on Linux, a forked worker per further usable CPU;
+a cell that raises ends it with an error naming the cell.  Every output
 follows grid order, each cell's stderr (its warnings once) just before its line.
 Exit codes: 0 success, 1 parse error, 2 inadmissible, 3 numerical failure.
 """
@@ -27,15 +27,11 @@ import dataclasses
 import io
 import itertools
 import json
+import multiprocessing
 import os
-import pickle
-import queue
-import subprocess
 import sys
-import tempfile
-import threading
 import warnings
-from concurrent.futures import Future
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -254,10 +250,14 @@ _SERIES_KEYS = ("iterations", "final_objective", "final_residual", "stop_reason"
 
 def _cell_outcome(cfg: RunConfig, instance, reference, cell: dict, steps: StepSizes):
     """A grid cell's outcome ``(kind, value, stderr text)``, alike in every
-    process: the cell's stderr is captured under fresh warning filters, so the
-    cell shows each of its warnings once whatever ran before it."""
+    process: stderr is captured under fresh warning filters, so the cell shows
+    each of its warnings once whatever ran before it, and an exception other
+    than a numerical failure is an ``"error"`` outcome, ``"<Type>: <message>"``."""
     with contextlib.redirect_stderr(io.StringIO()) as err, warnings.catch_warnings():
-        kind, value = _run_cell(cfg, instance, reference, cell, steps)
+        try:
+            kind, value = _run_cell(cfg, instance, reference, cell, steps)
+        except Exception as exc:
+            kind, value = "error", f"{type(exc).__name__}: {exc}"
     return kind, value, err.getvalue()
 
 
@@ -268,91 +268,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _helper_count(cells: int, cpus: int) -> int:
-    """Helper processes for a grid: min(cells, cpus) processes run it, the caller included."""
-    return max(0, min(cells, cpus) - 1)
+_worker_run = None  # in a worker, the caller's run(cell index), set by _init_worker
 
 
-def _claim(todo: queue.SimpleQueue):
-    """The index of the next unclaimed cell in ``todo``, or None when there is none."""
+def _init_worker(run) -> None:
+    global _worker_run
+    _worker_run = run
+
+
+def _worker_cell(i: int):
+    return _worker_run(i)
+
+
+def _grid_outcomes(cfg: RunConfig, instance, reference, grid: list, admitted: list):
+    """Yield each admitted cell's outcome in grid order.  The caller runs the
+    first, so a profiler or tracer here sees a cell of every grid.  On Linux
+    ``min(cells, usable CPUs) - 1`` workers run the others too; while one runs
+    the cell whose turn it is, the caller takes the last cell no worker has
+    started.  Closing the generator reaps the workers."""
+    def run(i):
+        return _cell_outcome(cfg, instance, reference, *grid[i])
+
+    workers = min(len(admitted), _usable_cpus()) - 1 if sys.platform == "linux" else 0
+    if workers <= 0:
+        yield from map(run, admitted)
+        return
+    # Workers are forks for two reasons: the instance's oracles are closures,
+    # which do not pickle, so a fork inherits ``run`` with the instance and the
+    # reference; and a spawn or forkserver context starts multiprocessing's
+    # resource tracker, a process that outlives the call.
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_init_worker, initargs=(run,))
     try:
-        return todo.get_nowait()
-    except queue.Empty:
-        return None
-
-
-def _settle(todo: queue.SimpleQueue, cell: Future, outcome: tuple) -> None:
-    """Give a claimed cell its outcome ``(kind, value, stderr text)``; an
-    ``"error"`` outcome ends all claiming."""
-    if outcome[0] == "error":
-        while _claim(todo) is not None:
-            pass
-    cell.set_result(outcome)
-
-
-# A helper imports the package from the directory the caller imported it
-# from, however the caller was started (console script, -m, -c, stdin, pytest).
-_HELPER_MAIN = ("import sys; sys.path.insert(0, {root!r}); "
-                "from pdsplit.cli import _serve_cells; _serve_cells()")
-
-
-def _serve_cells() -> None:
-    """Main of a helper process.
-
-    Reads ``(config fields, grid, reference)`` and then cell indices, pickled,
-    from stdin, and writes each cell's pickled outcome to stdout.  Returns when
-    the caller closes stdin.
-    """
-    requests, replies = sys.stdin.buffer, os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)  # a stray print goes to stderr, never into the outcomes
-    with contextlib.suppress(EOFError):
-        fields, grid, reference = pickle.load(requests)
-        cfg = RunConfig(**fields)
-        instance = build_instance(cfg)
-        while True:
-            pickle.dump(_cell_outcome(cfg, instance, reference, *grid[pickle.load(requests)]),
-                        replies)
-            replies.flush()
-
-
-class _Helper:
-    """A helper process and the caller's thread that feeds it the cells it
-    claims, then reaps it."""
-
-    def __init__(self, todo: queue.SimpleQueue, cells: list, setup: tuple):
-        root = str(Path(__file__).resolve().parents[1])
-        self.log = tempfile.TemporaryFile()
-        self.proc = subprocess.Popen(
-            [sys.executable, "-c", _HELPER_MAIN.format(root=root)],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=self.log)
-        self.thread = threading.Thread(target=self._feed, args=(todo, cells, setup),
-                                       daemon=True)
-        self.thread.start()
-
-    def _feed(self, todo: queue.SimpleQueue, cells: list, setup: tuple) -> None:
-        with self.log, self.proc:  # closes both pipes and waits for the process
-            i = _claim(todo)
+        futures = {i: pool.submit(_worker_cell, i) for i in admitted[1:]}
+        untaken, mine = admitted[1:], {}  # mine: the outcomes of cells the caller took
+        yield run(admitted[0])
+        for i in admitted[1:]:
+            while i not in mine and not futures[i].done() and untaken:
+                j = untaken.pop()
+                if futures[j].cancel():  # only a cell no worker has started
+                    mine[j] = run(j)
             try:
-                if i is not None:
-                    pickle.dump(setup, self.proc.stdin)
-                while i is not None:
-                    pickle.dump(i, self.proc.stdin)
-                    self.proc.stdin.flush()
-                    _settle(todo, cells[i], pickle.load(self.proc.stdout))
-                    i = _claim(todo)
-            except Exception as err:  # any failure ends compare with an error naming the cell
-                try:
-                    status = self.proc.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    self.proc.kill()
-                    status = self.proc.wait()
-                self.log.seek(0)
-                lines = self.log.read().decode(errors="replace").strip().splitlines()
-                _settle(todo, cells[i], ("error", "helper process failed (exit status "
-                                         f"{status}): {lines[-1] if lines else repr(err)}", ""))
-            finally:
-                with contextlib.suppress(OSError):
-                    self.proc.stdin.close()
+                outcome = mine.pop(i) if i in mine else futures[i].result()
+            except Exception as err:  # a worker died (BrokenProcessPool)
+                outcome = "error", f"{type(err).__name__}: {err}", ""
+            yield outcome
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
@@ -393,55 +355,33 @@ def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:
         "failed": [],
     }
     status = EXIT_OK
-    # every process claims the next admitted cell from todo as it frees up, and
-    # the caller takes each cell's outcome from its future in grid order
-    todo, cells = queue.SimpleQueue(), [Future() for _ in grid]
-    admitted = [i for i in range(len(grid)) if i not in refused]
-    for i in admitted:
-        todo.put(i)
-    # the caller claims the first admitted cell before any helper starts, so
-    # every grid runs a cell where a profiler or tracer in this process sees it
-    mine = _claim(todo)
-    helpers = []
-    try:
-        with atomic_file(out) as merged:
-            merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
-            for _ in range(_helper_count(len(admitted), _usable_cpus())):
-                helpers.append(_Helper(todo, cells, (dataclasses.asdict(cfg), grid, reference)))
-            for i, (cell, _) in enumerate(grid):
-                sid = cell["series_id"]
-                if i in refused:
-                    print(f"skip {sid}: {refused[i]}")
-                    manifest["skipped"].append({**cell, "reason": str(refused[i])})
-                    continue
-                while mine is not None and not cells[i].done():
-                    _settle(todo, cells[mine], _cell_outcome(cfg, instance, reference,
-                                                             *grid[mine]))
-                    mine = _claim(todo)
-                kind, value, stderr_text = cells[i].result()
-                sys.stderr.write(stderr_text)
-                if kind == "error":
-                    raise PdsplitError(f"{sid}: {value}")
-                if kind == "failed":
-                    print(f"numerical failure in {sid} at iteration {value['iteration']}",
-                          file=sys.stderr)
-                    manifest["failed"].append({**cell, **value})
-                    status = EXIT_NUMERICAL
-                else:
-                    cell_text = value.pop("csv")
-                    _atomic_write(cell_dir / f"{sid}.csv", cell_text)
-                    merged.write(cell_text[cell_text.index("\n") + 1:])
-                    manifest["series"].append({**cell, "csv": str(cell_dir / f"{sid}.csv"),
-                                               **{k: value[k] for k in _SERIES_KEYS}})
-                    print(f"ran {sid}: iterations={value['iterations']} "
-                          f"objective={value['final_objective']:.12g}")
-    except BaseException:
-        for helper in helpers:
-            helper.proc.kill()
-        raise
-    finally:
-        for helper in helpers:
-            helper.thread.join()
+    outcomes = _grid_outcomes(cfg, instance, reference, grid,
+                              [i for i in range(len(grid)) if i not in refused])
+    with contextlib.closing(outcomes), atomic_file(out) as merged:
+        merged.write(",".join(("series_id",) + CSV_HEADER) + "\n")
+        for i, (cell, _) in enumerate(grid):
+            sid = cell["series_id"]
+            if i in refused:
+                print(f"skip {sid}: {refused[i]}")
+                manifest["skipped"].append({**cell, "reason": str(refused[i])})
+                continue
+            kind, value, stderr_text = next(outcomes)
+            sys.stderr.write(stderr_text)
+            if kind == "error":
+                raise PdsplitError(f"{sid}: {value}")
+            if kind == "failed":
+                print(f"numerical failure in {sid} at iteration {value['iteration']}",
+                      file=sys.stderr)
+                manifest["failed"].append({**cell, **value})
+                status = EXIT_NUMERICAL
+            else:
+                cell_text = value.pop("csv")
+                _atomic_write(cell_dir / f"{sid}.csv", cell_text)
+                merged.write(cell_text[cell_text.index("\n") + 1:])
+                manifest["series"].append({**cell, "csv": str(cell_dir / f"{sid}.csv"),
+                                           **{k: value[k] for k in _SERIES_KEYS}})
+                print(f"ran {sid}: iterations={value['iterations']} "
+                      f"objective={value['final_objective']:.12g}")
     _atomic_write(out.with_suffix(out.suffix + ".manifest.json"),
                   json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out}")

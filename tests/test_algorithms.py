@@ -37,7 +37,7 @@ from pdsplit.exceptions import (
     NumericalFailureError,
     StepSizeError,
 )
-from pdsplit.linops import DenseMatrixOp, IdentityOp
+from pdsplit.linops import DenseMatrixOp, IdentityOp, LinearMap
 from pdsplit.metrics import LagrangianProbe, MNormContext, fixed_point_residual, lagrangian
 from pdsplit.problems import (
     gen_fused_lasso,
@@ -747,6 +747,28 @@ class TestSolve:
             solve(spec, algorithm, StepSizes.from_lambda(inst.beta, 0.125),
                   max_iters=10, norm_AAt=inst.norm_AAt)
         assert set(counts.values()) == {0}
+
+    def test_a_premise_breach_reads_no_generic_norm_bound(self):
+        # an operator with only the generic bound pays k operator calls for it
+        inst, calls = gen_fused_lasso(20, 60, 3), []
+
+        class Counted(LinearMap):
+            def _apply(self, x):
+                calls.append("A")
+                return inst.spec.A.apply(x)
+
+            def _adjoint(self, s):
+                calls.append("At")
+                return inst.spec.A.adjoint_apply(s)
+
+        spec = replace(inst.spec, A=Counted(inst.spec.A.in_dim, inst.spec.A.out_dim))
+        steps = StepSizes.from_lambda(inst.beta, 0.125)
+        with pytest.raises(AlgorithmMisuseError, match=re.escape("f = 0")):
+            solve(spec, "chambolle-pock", steps, max_iters=10)
+        assert calls == []
+        record = solve(spec, "pd3o", steps, max_iters=2)
+        assert record.metadata["norm_AAt"] == spec.A.norm_AAt_bound()
+        assert len(calls) >= min(spec.A.in_dim, spec.A.out_dim)  # the bound, then the passes
 
     def test_oracle_counts_per_iteration(self, small_fused_lasso, counting_spec):
         inst = small_fused_lasso

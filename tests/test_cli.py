@@ -1,12 +1,10 @@
 import csv
 import json
 import os
-import queue
 import re
 import subprocess
 import sys
-import threading
-from concurrent.futures import Future
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +21,7 @@ from pdsplit.cli import (
     config_from_text,
     main,
 )
-from pdsplit.exceptions import ConfigParseError
+from pdsplit.exceptions import ConfigParseError, PdsplitError
 from pdsplit.problems import gen_fused_lasso
 
 
@@ -209,6 +207,12 @@ class TestRunCommand:
 
 
 class TestCompareCommand:
+    @pytest.fixture(autouse=True)
+    def no_child_is_left(self):
+        yield
+        with pytest.raises(ChildProcessError):  # no worker outlives a compare
+            os.waitpid(-1, os.WNOHANG)
+
     def test_single_cell_matches_standalone_run(self, tmp_path):
         common = ["--problem", "fused-lasso", "--n", "40", "--p", "120",
                   "--seed", "3", "--max-iters", "300", "--tol", "0",
@@ -277,75 +281,82 @@ class TestCompareCommand:
             assert [row[1:wall] + row[wall + 1:] for row in cell_rows] == [
                 row[:wall - 1] + row[wall:] for row in read_csv(single)]
 
-    @pytest.mark.parametrize("helper_main, reason", [
-        ("raise RuntimeError('helper start-up failed')", "RuntimeError: helper start-up failed"),
-        ("import os; os._exit(7)", "exit status 7"),
+    @pytest.mark.parametrize("cpus", [3, 1])
+    def test_the_caller_runs_the_first_cell_and_at_most_the_usable_cpus_run(
+            self, tmp_path, monkeypatch, cpus):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        log, run_cell = tmp_path / "pids.log", cli._run_cell
+
+        def logged(cfg, instance, reference, cell, steps):
+            with open(log, "a") as fh:  # workers are other processes: log to a file
+                fh.write(f"{cell['series_id']} {os.getpid()}\n")
+            return run_cell(cfg, instance, reference, cell, steps)
+
+        monkeypatch.setattr(cli, "_run_cell", logged)
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "300", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "g.csv")]
+                    ) == EXIT_OK
+        pid_of = dict(line.split() for line in log.read_text().splitlines())
+        assert sorted(pid_of) == sorted(["pd3o_gf1_lam0.125", "pd3o_gf1.5_lam0.125",
+                                         "pdfp_gf1_lam0.125", "pdfp_gf1.5_lam0.125"])
+        assert pid_of["pd3o_gf1_lam0.125"] == str(os.getpid())
+        assert len(set(pid_of.values())) <= cpus  # on one CPU, only the caller
+
+    @pytest.mark.parametrize("cpus, raising", [
+        (1, "pdfp_gf1_lam0.125"),
+        (2, "pd3o_gf1_lam0.125"),
+        (2, "pdfp_gf1.5_lam0.125"),
     ])
-    def test_failing_helper_ends_compare_naming_its_cell(self, tmp_path, monkeypatch, capsys,
-                                                         helper_main, reason):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(cli, "_HELPER_MAIN", helper_main)
-        out = tmp_path / "grid.csv"
-        argv = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
-                "--seed", "3", "--max-iters", "30", "--tol", "0",
-                "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
-                "--gamma-factors", "1.0,1.5", "--lambdas", "0.125",
-                "--output", str(out)]
-        codes = []
-        worker = threading.Thread(target=lambda: codes.append(main(argv)), daemon=True)
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        assert codes and codes[0] != EXIT_OK
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        err = capsys.readouterr().err
-        named = re.search(r"error: (\S+): helper process failed", err)
-        assert named and named.group(1) in {"pd3o_gf1.5_lam0.125", "pdfp_gf1_lam0.125",
-                                            "pdfp_gf1.5_lam0.125"}
-        assert reason in err
+    @pytest.mark.parametrize("error", [RuntimeError, PdsplitError])
+    def test_a_raising_cell_ends_compare_naming_it(self, tmp_path, monkeypatch, capsys,
+                                                   cpus, raising, error):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        run_cell = cli._run_cell
+
+        def raising_cell(cfg, instance, reference, cell, steps):
+            if cell["series_id"] == raising:
+                raise error("boom")
+            return run_cell(cfg, instance, reference, cell, steps)
+
+        monkeypatch.setattr(cli, "_run_cell", raising_cell)  # forked workers inherit it
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "grid.csv")]
+                    ) == EXIT_PARSE
+        assert capsys.readouterr().err.endswith(
+            f"error: {raising}: {error.__name__}: boom\n")
         assert sorted(os.listdir(tmp_path)) in ([], ["grid.cells"])
 
-    def test_an_error_outcome_ends_all_claiming(self):
-        todo, cells = queue.SimpleQueue(), [Future() for _ in range(4)]
-        for i in range(4):
-            todo.put(i)
-        assert [cli._claim(todo), cli._claim(todo)] == [0, 1]
-        cli._settle(todo, cells[0], ("ran", {}, ""))
-        assert cli._claim(todo) == 2
-        cli._settle(todo, cells[1], ("error", "helper process failed", ""))
-        assert cli._claim(todo) is None
-        assert cells[1].result()[0] == "error"
-        assert not cells[2].done() and not cells[3].done()
+    def test_a_dying_worker_ends_compare_naming_its_cell(self, tmp_path, tmp_path_factory,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        caller, run_cell = os.getpid(), cli._run_cell
+        started = tmp_path_factory.mktemp("flag") / "started"
 
-    def test_concurrent_claims_take_every_cell_once(self):
-        todo, cells, claimed = queue.SimpleQueue(), [Future() for _ in range(2000)], []
-        for i in range(len(cells)):
-            todo.put(i)
+        def dying(cfg, instance, reference, cell, steps):
+            if os.getpid() != caller:
+                started.touch()
+                os._exit(7)
+            for _ in range(3000):  # the caller waits until a worker has taken a cell
+                if started.exists():
+                    break
+                time.sleep(0.01)
+            return run_cell(cfg, instance, reference, cell, steps)
 
-        def claimant():
-            while (i := cli._claim(todo)) is not None:
-                claimed.append(i)
-                cli._settle(todo, cells[i], ("ran", {}, ""))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=claimant) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert sorted(claimed) == list(range(len(cells)))
-        assert all(cell.done() for cell in cells)
-
-    def test_helper_count_is_one_fewer_than_the_processes(self):
-        # min(cells, cpus) processes run a grid, the caller one of them
-        assert [cli._helper_count(cells, cpus) for cells, cpus in
-                ((12, 1), (12, 2), (3, 8), (1, 4), (0, 2))] == [0, 1, 2, 0, 0]
+        monkeypatch.setattr(cli, "_run_cell", dying)
+        out = tmp_path / "grid.csv"
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--gamma-factors", "1.0,1.5", "--output", str(out)]) == EXIT_PARSE
+        assert started.exists()
+        # the worker took the first cell the caller did not run, and died in it
+        assert re.search(r"error: pd3o_gf1\.5_lam0\.125: BrokenProcessPool: ",
+                         capsys.readouterr().err)
+        assert sorted(os.listdir(tmp_path)) in ([], ["grid.cells"])
 
     def test_numerically_failed_cells_are_recorded(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
