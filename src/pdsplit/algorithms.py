@@ -30,8 +30,8 @@ requires of the problem, its step-size conditions and its g-prox calls.
 ``STEP_FUNCTIONS`` maps each scheme to its bare pass, a map from one
 ``SolverState`` to the next that makes no check.  ``primal_dual_step`` is the
 one checked pass: premises and state fields before it, finiteness after.
-``solve`` checks once on entry, runs the bare passes, screens each pass once
-and collects per-iteration diagnostics into a ``ConvergenceRecord``.
+``solve`` checks once on entry; each iteration is a bare pass, its residual,
+its screen and the hooks, the first of which (``_Rows``) records the rows.
 """
 
 from __future__ import annotations
@@ -513,6 +513,86 @@ def check_loop_settings(max_iters: int, residual_tol: float, log_every: int) -> 
             raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+class _Rows:
+    """The rows of one ``solve``, kept by its first hook, hook(k, state, nxt, res).
+
+    Row k holds ``state.x`` and the residual ``res`` of the pass that leaves
+    it; rows 0-10, every ``log_every``-th and the last are logged.
+    ``reference``, a pair (x_ref, s_ref) or None, populates the
+    distance-to-reference column and, for gamma <= beta runs, the ergodic gap
+    at that probe, whose own terms of the Lagrangian (A^T s_ref too) are kept.
+    When f exposes ``SmoothTerm.residual``, an iterate's residual is fetched
+    from f's memo right after its pass, for the next row to be logged and,
+    with a gap, for every iterate: their mean gives f at the mean of x with no
+    data matvec (equal to a fresh evaluation to roundoff).  Objectives are
+    bit-identical to a fresh evaluation, as is the residual evaluated afresh
+    for a row that a residual stop logs out of turn.  AFBA's fetch is a
+    matvec, so it fetches only for gap rows at ``log_every == 1``.
+    """
+
+    def __init__(self, spec, steps, ctx, state, reference, last, residual_tol, log_every, afba):
+        self.spec, self.last, self.tol, self.log_every = spec, last, residual_tol, log_every
+        self.ref_x = self.ref_s = self.probe = self.gap_probe_dist_sq = self.r_sum = None
+        if reference is not None:
+            try:
+                ref_x, ref_s = reference
+            except (TypeError, ValueError):
+                raise ValueError("reference must be an (x_ref, s_ref) pair") from None
+            self.ref_x = as_vector(ref_x, spec.x_dim, name="x_ref")
+            self.ref_s = as_vector(ref_s, spec.s_dim, name="s_ref")
+            if (steps.theta == 1.0 and at_most(steps.gamma, spec.beta)
+                    and spec.h.conjugate_value is not None and spec.lstar.is_zero):
+                self.probe = LagrangianProbe(self.ref_x, self.ref_s)
+        # AFBA's gradient point is not its x, so its fetch is a matvec
+        fetch = not afba or (self.probe is not None and log_every == 1)
+        self.residual_of = spec.f.residual if fetch else None
+        self.r = None if self.residual_of is None else self.residual_of(state.x)
+        if self.probe is not None:  # the probe's z* calls grad f, so after the fetch
+            if not ctx.indefinite:
+                z_probe = fixed_point_from_primal_dual(spec, self.ref_x, self.ref_s, steps.gamma)
+                self.gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z,
+                                                          self.ref_s - state.s)
+            self.x_sum, self.s_sum = state.x.copy(), np.zeros(spec.s_dim)
+            self.r_sum = None if self.r is None else self.r.copy()
+        self.rows, self.t_start = [], time.perf_counter()
+
+    def _logs(self, k: int) -> bool:
+        return k <= 10 or k == self.last or (self.log_every > 0 and k % self.log_every == 0)
+
+    def __call__(self, k, state, nxt, res):
+        stop = res <= self.tol or k == self.last
+        if self.probe is not None:
+            self.s_sum += nxt.s
+        if stop or self._logs(k):
+            self._row(k, state, res)
+        # the next iterate's residual, while it is the newest point of f's memo
+        self.r = (self.residual_of(nxt.x) if self.residual_of is not None and (
+            stop or self.r_sum is not None or self._logs(k + 1)) else None)
+        if self.probe is not None:
+            self.x_sum += nxt.x
+            if self.r_sum is not None:
+                self.r_sum += self.r
+
+    def _row(self, k, state, res):
+        spec, n = self.spec, k + 1
+        if self.r is None and self.residual_of is not None:  # a residual stop out of turn
+            self.r = self.residual_of(state.x)
+        obj = (evaluate_objective(spec, state.x, residual=self.r, screened=True)
+               if spec.lstar.is_zero else math.nan)
+        dist = None if self.ref_x is None else math.sqrt(np.vdot(d := state.x - self.ref_x, d))
+        gap = None if self.probe is None else (
+            lagrangian(spec, self.x_sum / n, self.ref_s, self.probe, screened=True,
+                       residual=None if self.r_sum is None else self.r_sum / n)
+            - lagrangian(spec, self.ref_x, self.s_sum / n, self.probe, screened=True))
+        self.rows.append(IterationRow(iter=k, objective=obj, residual_im=res, dist_to_ref=dist,
+                                      gap=gap, wall_time_s=time.perf_counter() - self.t_start))
+
+    def final_objective(self, x) -> float:
+        """The objective at the last call's nxt.x, whose residual that call fetched."""
+        return (evaluate_objective(self.spec, x, residual=self.r) if self.spec.lstar.is_zero
+                else math.nan)
+
+
 def solve(
     spec: ProblemSpec,
     algorithm: AlgorithmId | str,
@@ -532,40 +612,28 @@ def solve(
 
     ``admit`` checks the scheme's premises, theta and the step sizes before
     any oracle call; invalid step sizes raise ``StepSizeError`` unless
-    ``force`` is set (the override is recorded in the metadata).
-    ``norm_AAt`` defaults to ``spec.A.norm_AAt_bound()``.  The residual is
-    measured in the combined norm, in the metric regime ``MNormContext`` reads
-    off t = gamma*delta*norm_AAt: a norm for t < 1, a seminorm (with a
-    warning) at t = 1 up to ``core.ROUNDING_SLACK``, and past that, where the
-    metric is indefinite (a forced run, or AFBA), the Euclidean norm of the
-    step; ``metadata["residual_metric"]`` says which.  When
-    theta != 1 (pd3o only) each step returns the relaxed iterate
-    theta*T(z,s) + (1-theta)*(z,s), and the residual, the distance between
-    consecutive iterates divided by theta, is still ||T(z,s) - (z,s)||.
+    ``force`` is set (recorded in the metadata).  ``norm_AAt`` defaults to
+    ``spec.A.norm_AAt_bound()``.  The residual is measured in the combined
+    norm, in the regime ``MNormContext`` reads off t = gamma*delta*norm_AAt: a
+    norm for t < 1, a seminorm (with a warning) at t = 1 up to
+    ``core.ROUNDING_SLACK``, and past that, where the metric is indefinite (a
+    forced run, or AFBA), the Euclidean norm of the step;
+    ``metadata["residual_metric"]`` says which.  When theta != 1 (pd3o only)
+    each step returns the relaxed iterate theta*T(z,s) + (1-theta)*(z,s), and
+    the residual, the distance between consecutive iterates divided by theta,
+    is still ||T(z,s) - (z,s)||.
 
-    ``reference``, a pair (x_ref, s_ref) or None, populates the
-    distance-to-reference column and, for gamma <= beta runs, the ergodic
-    gap column evaluated at that probe; the probe's own terms of the
-    Lagrangian (A^T s_ref too) are kept from the first gap row on.  When f
-    exposes a residual (``SmoothTerm.residual``), each iterate's residual is
-    fetched once, right after its step, and feeds its row's objective
-    (bit-identical to a fresh evaluation) and, with a gap, the running mean
-    of residuals that gives f at the running average of x with no data
-    matvec (equal to a fresh evaluation to roundoff).  AFBA's fetch is a
-    matvec, so it fetches only for gap rows at ``log_every == 1``; otherwise
-    its gap evaluates f at the average afresh.
-    ``log_every`` thins the recorded rows, but iterations 0-10 and the final
-    iteration are always kept.
-    ``hooks`` are called as hook(k, state, next_state, residual) every
-    iteration on the solving thread; on a relaxed run next_state is the
-    relaxed iterate.  Checks run once, on entry: the loop settings (a count
-    that is not an integer raises ``ValueError``), ``admit``, the reference
-    (``ValueError`` if it is not a pair), the start's fields
-    (``AlgorithmMisuseError`` if an ``init`` lacks one).  The bare passes of
-    ``STEP_FUNCTIONS`` run, and each is screened once: its residual
-    covers z+ and s+, a dot product xbar+ (and for pdfp, whose xbar+ is a
-    g-prox of x+, x+).  A failed screen scans s+, x+ and xbar+, and a NaN or
-    inf raises ``NumericalFailureError`` with its ``sub_step`` and ``iteration``.
+    Each iteration is a pass, its residual, its screen and the hooks: first
+    ``_Rows``, which records the rows, then ``hooks``, each called as
+    hook(k, state, next_state, residual) on the solving thread (next_state is
+    relaxed on a relaxed run).  Checks run once, on entry: the loop settings
+    (a count that is not an integer raises ``ValueError``), ``admit``, the
+    start's fields (``AlgorithmMisuseError`` if an ``init`` lacks one) and the
+    reference (``ValueError`` if it is not a pair).  Each bare pass of
+    ``STEP_FUNCTIONS`` is screened once: its residual covers z+ and s+, a dot
+    product xbar+ (and for pdfp, whose xbar+ is a g-prox of x+, x+).  A failed
+    screen scans s+, x+ and xbar+; a NaN or inf raises ``NumericalFailureError``
+    with its ``sub_step`` and ``iteration``.
     ``metadata["oracle_calls"]`` is declared by ``oracle_calls``, not counted:
     the start's calls if ``solve`` built the state, plus one pass's per
     iteration; the diagnostics' calls are not in it.
@@ -575,58 +643,30 @@ def solve(
     algorithm = AlgorithmId(algorithm)
     check_loop_settings(max_iters, residual_tol, log_every)
     step_fn = STEP_FUNCTIONS[algorithm]
-    beta = spec.beta
     verdict = admit(spec, algorithm, steps, norm_AAt, force)
-    norm_AAt = verdict.norm_AAt
     if not verdict.valid:
         logger.warning("forcing run with invalid step sizes: %s", verdict.violated)
 
-    theta = steps.theta
-    ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=norm_AAt)
-    euclidean = ctx.indefinite
-    if euclidean:
+    ctx = MNormContext(steps.gamma, steps.delta, spec.A, norm_AAt=verdict.norm_AAt)
+    if ctx.indefinite:
         logger.warning("gamma*delta*||AA^T|| > 1: dual metric is indefinite; "
                        "residuals use the Euclidean norm")
     elif ctx.semidefinite:
         logger.warning("gamma*delta*||AA^T|| = 1: dual metric is only a seminorm; "
                        "residuals use the seminorm")
 
-    ref_x = ref_s = gap_probe = gap_probe_dist_sq = None
-    if reference is not None:
-        try:
-            ref_x, ref_s = reference
-        except (TypeError, ValueError):
-            raise ValueError("reference must be an (x_ref, s_ref) pair") from None
-        ref_x = as_vector(ref_x, spec.x_dim, name="x_ref")
-        ref_s = as_vector(ref_s, spec.s_dim, name="s_ref")
-        if (theta == 1.0 and at_most(steps.gamma, beta)
-                and spec.h.conjugate_value is not None and spec.lstar.is_zero):
-            gap_probe = LagrangianProbe(ref_x, ref_s)
-
     state = initial_state(spec, steps, algorithm) if init is None else init
     # once: every state a pass returns carries what the next one reads
     _check_fields(state, algorithm)
     afba, screen_x = algorithm is AlgorithmId.AFBA, algorithm is AlgorithmId.PDFP
-
-    # f's residual at each iterate, fetched once for its row from f's memo of the
-    # step's gradient; AFBA's gradient point is not its x, so there it is a matvec.
-    residual_of = spec.f.residual
-    fetch = residual_of is not None and (not afba or (gap_probe is not None and log_every == 1))
-    r = residual_of(state.x) if fetch else None
-    if gap_probe is not None:
-        if not euclidean:
-            z_probe = fixed_point_from_primal_dual(spec, ref_x, ref_s, steps.gamma)
-            gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z, ref_s - state.s)
-        x_sum, s_sum = state.x.copy(), np.zeros(spec.s_dim)
-        r_sum = r.copy() if fetch else None
-    rows: list[IterationRow] = []
-    t_start = time.perf_counter()
+    rows = _Rows(spec, steps, ctx, state, reference, max_iters - 1, residual_tol, log_every, afba)
+    hooks = (rows, *hooks)
 
     for k in range(max_iters):  # at least once: check_loop_settings wants max_iters >= 1
         nxt = step_fn(state, spec, steps)
         try:
-            res = (euclidean_residual(state, nxt) if euclidean
-                   else fixed_point_residual(ctx, state, nxt)) / theta
+            res = (euclidean_residual(state, nxt) if ctx.indefinite
+                   else fixed_point_residual(ctx, state, nxt)) / steps.theta
         except GeometryViolationError:  # a non-finite pass is named first
             _name_non_finite(state, nxt, steps.gamma, afba, k)
             raise
@@ -635,62 +675,22 @@ def solve(
         if not (math.isfinite(res) and math.isfinite(np.vdot(nxt.xbar, nxt.xbar))
                 and (not screen_x or math.isfinite(np.vdot(nxt.x, nxt.x)))):
             _name_non_finite(state, nxt, steps.gamma, afba, k)
-        r_next = residual_of(nxt.x) if fetch else None
-        if gap_probe is not None:
-            s_sum += nxt.s
-
-        stop = res <= residual_tol or k == max_iters - 1
-        log_this = stop or k <= 10 or (log_every > 0 and k % log_every == 0)
-        if log_this:
-            # objective values are only defined for the l = indicator-of-0 case
-            obj = (evaluate_objective(spec, state.x, residual=r, screened=True)
-                   if spec.lstar.is_zero else math.nan)
-            dist = None if ref_x is None else math.sqrt(np.vdot(d := state.x - ref_x, d))
-            gap = None
-            if gap_probe is not None:
-                r_bar = None if r_sum is None else r_sum / (k + 1)
-                gap = (lagrangian(spec, x_sum / (k + 1), ref_s, gap_probe,
-                                  residual=r_bar, screened=True)
-                       - lagrangian(spec, ref_x, s_sum / (k + 1), gap_probe, screened=True))
-            rows.append(IterationRow(
-                iter=k, objective=obj, residual_im=res, dist_to_ref=dist, gap=gap,
-                wall_time_s=time.perf_counter() - t_start,
-            ))
-
         for hook in hooks:
             hook(k, state, nxt, res)
-
-        state, r = nxt, r_next
-        if gap_probe is not None:
-            x_sum += state.x
-            if r_sum is not None:
-                r_sum += r
-
-        if stop:
+        state = nxt
+        if res <= residual_tol:
             break
 
     stop_reason = "converged" if res <= residual_tol else "max_iters"
     metadata = {
-        "algorithm": algorithm.value,
-        "gamma": steps.gamma,
-        "delta": steps.delta,
-        "lambda": steps.lam,
-        "theta": theta,
-        "beta": beta,
-        "norm_AAt": norm_AAt,
-        "stepsize_valid": verdict.valid,
-        "forced": not verdict.valid,
-        "iterations": k + 1,
-        "converged": stop_reason == "converged",
-        "stop_reason": stop_reason,
-        "final_objective": (
-            evaluate_objective(spec, state.x, residual=r) if spec.lstar.is_zero else math.nan
-        ),
-        "final_residual": res,
-        "residual_metric": "euclidean" if euclidean else "M",
-        "log_every": log_every,
+        "algorithm": algorithm.value, "gamma": steps.gamma, "delta": steps.delta,
+        "lambda": steps.lam, "theta": steps.theta, "beta": spec.beta, "norm_AAt": verdict.norm_AAt,
+        "stepsize_valid": verdict.valid, "forced": not verdict.valid, "iterations": k + 1,
+        "converged": stop_reason == "converged", "stop_reason": stop_reason,
+        "final_objective": rows.final_objective(state.x), "final_residual": res,
+        "residual_metric": "euclidean" if ctx.indefinite else "M", "log_every": log_every,
         "oracle_calls": oracle_calls(spec, algorithm, k + 1, started=init is None),
     }
-    if gap_probe_dist_sq is not None:
-        metadata["gap_probe_dist_sq"] = gap_probe_dist_sq
-    return ConvergenceRecord(rows=rows, metadata=metadata, final_state=state)
+    if rows.gap_probe_dist_sq is not None:
+        metadata["gap_probe_dist_sq"] = rows.gap_probe_dist_sq
+    return ConvergenceRecord(rows=rows.rows, metadata=metadata, final_state=state)

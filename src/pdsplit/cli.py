@@ -14,8 +14,9 @@ first refusal.  run and compare solve a cell through one runner.  compare
 refuses repeated series ids, then admits every cell before the reference; it
 skips refused cells, or exits 2 and writes nothing when none is admitted.  It
 runs cells on the caller and, on Linux, a forked worker per further usable CPU;
-a cell that raises ends it with an error naming the cell.  Every output
-follows grid order, each cell's stderr (its warnings once) just before its line.
+a cell that raises ends it with an error naming the cell, and the cells still
+running are killed.  Every output follows grid order, each cell's stderr (its
+warnings once) just before its line.
 Exit codes: 0 success, 1 parse error, 2 inadmissible, 3 numerical failure.
 """
 
@@ -30,6 +31,7 @@ import json
 import multiprocessing
 import os
 import sys
+import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -283,9 +285,9 @@ def _worker_cell(i: int):
 def _grid_outcomes(cfg: RunConfig, instance, reference, grid: list, admitted: list):
     """Yield each admitted cell's outcome in grid order.  The caller runs the
     first, so a profiler or tracer here sees a cell of every grid.  On Linux
-    ``min(cells, usable CPUs) - 1`` workers run the others too; while one runs
-    the cell whose turn it is, the caller takes the last cell no worker has
-    started.  Closing the generator reaps the workers."""
+    ``min(cells, usable CPUs) - 1`` workers run the others too: whoever is free
+    takes the next cell nobody has started, the caller while a worker runs the
+    cell whose turn it is.  Closing the generator kills cells that still run."""
     def run(i):
         return _cell_outcome(cfg, instance, reference, *grid[i])
 
@@ -297,23 +299,40 @@ def _grid_outcomes(cfg: RunConfig, instance, reference, grid: list, admitted: li
     # which do not pickle, so a fork inherits ``run`` with the instance and the
     # reference; and a spawn or forkserver context starts multiprocessing's
     # resource tracker, a process that outlives the call.
+    before = set(multiprocessing.active_children())
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                initializer=_init_worker, initargs=(run,))
+    # untaken: a worker gets a cell only when it is free, so the caller can take any
+    lock, futures, untaken, mine = threading.RLock(), {}, admitted[1:], {}
+
+    def feed(_=None):  # hand each free worker the next untaken cell
+        with lock, contextlib.suppress(RuntimeError):  # the pool is broken or shut down
+            while untaken and sum(not f.done() for f in futures.values()) < workers:
+                futures[untaken[0]] = pool.submit(_worker_cell, untaken[0])
+                futures[untaken.pop(0)].add_done_callback(feed)
+
+    def take(i):  # the caller's next cell, while cell i is not done
+        with lock:
+            if untaken and i not in mine and not (i in futures and futures[i].done()):
+                return untaken.pop(0)
+
     try:
-        futures = {i: pool.submit(_worker_cell, i) for i in admitted[1:]}
-        untaken, mine = admitted[1:], {}  # mine: the outcomes of cells the caller took
+        feed()
         yield run(admitted[0])
         for i in admitted[1:]:
-            while i not in mine and not futures[i].done() and untaken:
-                j = untaken.pop()
-                if futures[j].cancel():  # only a cell no worker has started
-                    mine[j] = run(j)
+            while (j := take(i)) is not None:
+                mine[j] = run(j)
             try:
                 outcome = mine.pop(i) if i in mine else futures[i].result()
             except Exception as err:  # a worker died (BrokenProcessPool)
                 outcome = "error", f"{type(err).__name__}: {err}", ""
             yield outcome
     finally:
+        with lock:  # no cell is handed out from here on
+            untaken.clear()
+        if not all(future.done() for future in futures.values()):  # ended early
+            for child in set(multiprocessing.active_children()) - before:
+                child.kill()
         pool.shutdown(cancel_futures=True)
 
 
@@ -421,12 +440,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args) -> RunConfig:
     cfg = config_from_text(Path(args.config).read_text()) if args.config else RunConfig()
-    overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        val = getattr(args, f.name, None)
-        if val is not None:
-            overrides[f.name] = val
-    return dataclasses.replace(cfg, **overrides)
+    flags = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(RunConfig)}
+    return dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
 
 
 def main(argv=None) -> int:

@@ -11,8 +11,9 @@ keeps the residual A x - b of its latest gradient point for ``residual`` to
 reuse (``problems.least_squares_term``).  A smooth term whose value is a
 function of an affine residual r = A x - b and of x may expose both
 (``SmoothTerm.residual`` and ``value_from_residual``); ``solve`` then fetches
-each iterate's residual once for its objective, and evaluates f at the
-running average of its iterates from the average of their residuals.
+the residual of each iterate whose row it logs, for its objective, and
+evaluates f at the running average of its iterates from the average of
+their residuals.
 """
 
 from __future__ import annotations

@@ -1180,6 +1180,42 @@ class TestLoggedRows:
         # probe is evaluated through the value oracle
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("stop", ["max_iters", "converged"])
+    def test_a_thinned_solve_fetches_f_residual_only_for_its_rows(self, small_fused_lasso,
+                                                                  stop):
+        inst = small_fused_lasso
+        steps = StepSizes.from_lambda(inst.beta, 0.125)
+        residuals = []
+        solve(inst.spec, "pd3o", steps, max_iters=60, norm_AAt=inst.norm_AAt,
+              hooks=(lambda k, st, nxt, res: residuals.append(res),))
+        # a residual stop at iteration 40 or before it, past the rows 0-10 kept
+        tol = residuals[40] if stop == "converged" else 0.0
+        assert tol < residuals[10]
+        f, newest, fetches, xs = inst.spec.f, [None], [], []
+
+        def gradient(x):
+            newest[0] = x.copy()
+            return f.gradient(x)
+
+        def residual(x):  # True: x is the newest point of f's memo
+            fetches.append(np.array_equal(x, newest[0]))
+            return f.residual(x)
+
+        spec = replace(inst.spec, f=replace(f, gradient=gradient, residual=residual))
+        rec = solve(spec, "pd3o", steps, max_iters=60, residual_tol=tol,
+                    norm_AAt=inst.norm_AAt, log_every=0,
+                    hooks=(lambda k, st, nxt, res: xs.append(st.x),))
+        assert rec.metadata["stop_reason"] == stop
+        assert [row.iter for row in rec.rows] == [*range(11), len(xs) - 1]
+        # one fetch per row and one for the final objective; the row of a residual
+        # stop is not foreseen, so its residual is evaluated afresh
+        assert fetches == [True] * 11 + [stop == "max_iters", True]
+        fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
+        for row in rec.rows:
+            assert row.objective == evaluate_objective(fresh, xs[row.iter]), row.iter
+        assert rec.metadata["final_objective"] == evaluate_objective(fresh,
+                                                                     rec.final_state.x)
+
     def test_diagnostics_apply_A_once_per_gap_row(self, small_fused_lasso,
                                                   small_reference, counting_spec):
         inst, ref = small_fused_lasso, small_reference
@@ -1225,6 +1261,9 @@ class TestFiniteScreen:
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)
                 and Path(w.filename).name == "algorithms.py"] == []
 
+    # a pass that goes non-finite runs to its end before it is named, so the rest of
+    # the pass may warn of an invalid value
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     @pytest.mark.parametrize("oracle, first_bad_call, sub_step", [
         ("h", 2, "s-update"),      # h-prox runs once per pass

@@ -358,6 +358,65 @@ class TestCompareCommand:
                          capsys.readouterr().err)
         assert sorted(os.listdir(tmp_path)) in ([], ["grid.cells"])
 
+    def test_an_errored_compare_kills_a_running_worker(self, tmp_path, tmp_path_factory,
+                                                        monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        caller, run_cell = os.getpid(), cli._run_cell
+        started = tmp_path_factory.mktemp("flag") / "started"
+
+        def slow_or_raising(cfg, instance, reference, cell, steps):
+            if os.getpid() != caller:  # a multi-second cell
+                started.touch()
+                time.sleep(20.0)
+                return run_cell(cfg, instance, reference, cell, steps)
+            for _ in range(3000):  # the caller's first cell raises once a worker runs
+                if started.exists():
+                    break
+                time.sleep(0.01)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "_run_cell", slow_or_raising)
+        begin = time.perf_counter()
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--output", str(tmp_path / "grid.csv")]) == EXIT_PARSE
+        assert started.exists() and time.perf_counter() - begin < 10.0
+        assert capsys.readouterr().err.endswith(
+            "error: pd3o_gf1_lam0.125: RuntimeError: boom\n")
+        with pytest.raises(ChildProcessError):  # the killed worker is reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_cell_waits_for_a_free_worker_so_the_caller_can_take_it(
+            self, tmp_path, tmp_path_factory, monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        caller, run_cell = os.getpid(), cli._run_cell
+        log, last_done = tmp_path / "pids.log", tmp_path_factory.mktemp("flag") / "done"
+        last = "pdfp_gf1.5_lam0.125"
+
+        def logged(cfg, instance, reference, cell, steps):
+            with open(log, "a") as fh:
+                fh.write(f"{cell['series_id']} {os.getpid()}\n")
+            for _ in range(1000 if os.getpid() != caller else 0):
+                if last_done.exists():  # the worker holds its cell until the last is run
+                    break
+                time.sleep(0.01)
+            outcome = run_cell(cfg, instance, reference, cell, steps)
+            if cell["series_id"] == last:
+                last_done.touch()
+            return outcome
+
+        monkeypatch.setattr(cli, "_run_cell", logged)
+        assert main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                     "--seed", "3", "--max-iters", "30", "--tol", "0",
+                     "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                     "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "g.csv")]
+                    ) == EXIT_OK
+        pid_of = dict(line.split() for line in log.read_text().splitlines())
+        # the worker took one cell; no other waited in the pool's queue for it
+        assert [sid for sid, pid in pid_of.items() if pid != str(caller)] == [
+            "pd3o_gf1.5_lam0.125"]
+
     def test_numerically_failed_cells_are_recorded(self, tmp_path, capsys):
         out = tmp_path / "div.csv"
         with np.errstate(all="ignore"):
