@@ -30,6 +30,20 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def output_files(root):
+    """Every file under ``root`` by relative path: a CSV's rows without the
+    wall_time_s column, any other file's text."""
+    files = {}
+    for path in sorted(root.rglob("*")):
+        if path.suffix == ".csv":
+            rows = read_csv(path)
+            wall = rows[0].index("wall_time_s")
+            files[path.relative_to(root)] = [row[:wall] + row[wall + 1:] for row in rows]
+        elif path.is_file():
+            files[path.relative_to(root)] = path.read_text()
+    return files
+
+
 class TestConfigFile:
     def test_round_trip_identity(self):
         # one key of each type: str (a path with /), int, float as repr writes it, bool
@@ -564,15 +578,7 @@ class TestCompareCommand:
             proc = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == EXIT_NUMERICAL, proc.stderr
-            files = {}
-            for path in sorted(cwd.rglob("*")):
-                if path.suffix == ".csv":
-                    rows = read_csv(path)
-                    wall = rows[0].index("wall_time_s")
-                    files[path.relative_to(cwd)] = [row[:wall] + row[wall + 1:] for row in rows]
-                elif path.is_file():
-                    files[path.relative_to(cwd)] = path.read_text()
-            runs[cpus] = proc.stdout, proc.stderr, files
+            runs[cpus] = proc.stdout, proc.stderr, output_files(cwd)
         assert runs[1] == runs[3]
         stdout, stderr, files = runs[1]
         assert sorted(map(str, files)) == [
@@ -584,6 +590,21 @@ class TestCompareCommand:
         assert [part.split(" at iteration")[0] for part in failing[1:]] == [
             "pdfp_gf5_lam0.125", "pdfp_gf5.5_lam0.125"]
         assert all("RuntimeWarning: overflow" in part for part in failing[:2])
+
+    def test_a_rerun_into_the_same_output_replaces_every_file(self, tmp_path, capsys):
+        argv = ["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                "--seed", "3", "--max-iters", "300", "--tol", "0",
+                "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "g.csv")]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == EXIT_OK
+            runs.append((capsys.readouterr().out, output_files(tmp_path)))
+        assert runs[1] == runs[0]
+        assert sorted(map(str, runs[1][1])) == [
+            "g.cells/pd3o_gf1.5_lam0.125.csv", "g.cells/pd3o_gf1_lam0.125.csv",
+            "g.cells/pdfp_gf1.5_lam0.125.csv", "g.cells/pdfp_gf1_lam0.125.csv",
+            "g.csv", "g.csv.manifest.json"]
 
     def test_an_output_path_with_a_newline_runs_on_helpers(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)

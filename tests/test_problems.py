@@ -1,5 +1,7 @@
 import math
 import os
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
@@ -14,8 +16,10 @@ from pdsplit.algorithms import (
     solve,
 )
 from pdsplit.core import evaluate_objective
+from pdsplit import problems
 from pdsplit.metrics import linear_rate_rho
 from pdsplit.problems import (
+    atomic_file,
     gen_elastic_net_strongly_convex,
     gen_fused_lasso,
     gen_toy_quadratic,
@@ -218,14 +222,15 @@ class TestReferenceSolution:
         np.testing.assert_array_equal(ref1.x, ref2.x)
         np.testing.assert_array_equal(ref1.s, ref2.s)
 
-    @pytest.mark.parametrize("damage", ["garbage", "truncated"])
+    # an empty file is what a rewrite may leave after a power loss
+    @pytest.mark.parametrize("damage", ["garbage", "truncated", "empty"])
     def test_corrupt_cache_file_is_rebuilt(self, tmp_path, damage):
         inst = gen_toy_quadratic(dim=7, seed=4)
         ref1 = reference_solution(inst, iters=40, cache_dir=tmp_path)
         (path,) = tmp_path.glob("ref-*.npz")
         good = path.read_bytes()
-        path.write_bytes(b"\x80not an npz archive" * 8 if damage == "garbage"
-                         else good[: len(good) // 2])
+        path.write_bytes({"garbage": b"\x80not an npz archive" * 8,
+                          "truncated": good[: len(good) // 2], "empty": b""}[damage])
         ref2 = reference_solution(inst, iters=40, cache_dir=tmp_path)
         np.testing.assert_array_equal(ref1.x, ref2.x)
         np.testing.assert_array_equal(ref1.s, ref2.s)
@@ -267,6 +272,106 @@ class TestReferenceSolution:
                         residual_tol=1e-9, norm_AAt=inst.norm_AAt)
             rel = abs(rec.metadata["final_objective"] - ref.objective) / ref.objective
             assert rel <= 1e-6, algorithm
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="renameat2 is Linux's")
+
+
+class TestAtomicFile:
+    @staticmethod
+    def write(path, data):
+        with atomic_file(path, "wb") as fh:
+            fh.write(data)
+
+    @linux_only
+    def test_a_rewrite_swaps_the_file_in_without_os_replace(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.csv"
+        self.write(path, b"old")
+
+        def refuse(src, dst):
+            raise OSError("os.replace called")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        self.write(path, b"new")
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("renameat2", [None, lambda *args: -1], ids=["missing", "refused"])
+    def test_without_an_exchange_the_file_is_replaced(self, tmp_path, monkeypatch, renameat2):
+        path = tmp_path / "out.csv"
+        self.write(path, b"old")
+        monkeypatch.setattr(problems, "_renameat2", renameat2)
+        replaced, replace = [], os.replace
+
+        def spy(src, dst):
+            replaced.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        self.write(path, b"new")
+        assert replaced == [path]
+        assert path.read_bytes() == b"new"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    @linux_only
+    def test_a_directory_at_the_path_stays_where_it_is(self, tmp_path):
+        path = tmp_path / "out.csv"
+        path.mkdir()
+        (path / "kept").write_bytes(b"kept")
+        with pytest.raises(IsADirectoryError):
+            self.write(path, b"new")
+        assert os.listdir(tmp_path) == ["out.csv"]
+        assert os.listdir(path) == ["kept"] and (path / "kept").read_bytes() == b"kept"
+
+    def test_a_symlink_at_the_path_is_replaced_not_followed(self, tmp_path):
+        target, path = tmp_path / "target", tmp_path / "out.csv"
+        target.write_bytes(b"target")
+        path.symlink_to(target)
+        self.write(path, b"new")
+        assert not path.is_symlink() and path.read_bytes() == b"new"
+        assert target.read_bytes() == b"target"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "target"]
+
+    def test_a_failed_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.csv"
+        self.write(path, b"old")
+        with pytest.raises(RuntimeError, match="inside the block"):
+            with atomic_file(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("inside the block")
+        assert path.read_bytes() == b"old"
+        assert os.listdir(tmp_path) == ["out.csv"]
+
+    def test_a_reader_always_finds_one_complete_version(self, tmp_path):
+        # a rewrite that removed the path before putting the new file there
+        # would let the reader see no file, and a cache reader take a miss
+        path = tmp_path / "out.csv"
+        versions = (b"a" * 4096, b"b" * 8192)
+        self.write(path, versions[0])
+        seen, done = [], threading.Event()
+
+        def read():
+            while not done.is_set():
+                try:
+                    seen.append(path.read_bytes())
+                except OSError as err:
+                    seen.append(err)
+
+        reader = threading.Thread(target=read)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            reader.start()
+            for i in range(1, 201):
+                self.write(path, versions[i % 2])
+        finally:
+            done.set()
+            reader.join(timeout=10)
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive()
+        bad = [v if isinstance(v, OSError) else v[:8] for v in seen if v not in versions]
+        assert seen and not bad, bad[:3]
+        assert os.listdir(tmp_path) == ["out.csv"]
 
 
 class TestDefaults:
