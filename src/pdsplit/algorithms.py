@@ -521,18 +521,17 @@ class _Rows:
     ``reference``, a pair (x_ref, s_ref) or None, populates the
     distance-to-reference column and, for gamma <= beta runs, the ergodic gap
     at that probe, whose own terms of the Lagrangian (A^T s_ref too) are kept.
-    When f exposes ``SmoothTerm.residual``, an iterate's residual is fetched
-    from f's memo right after its pass, for the next row to be logged and,
-    with a gap, for every iterate: their mean gives f at the mean of x with no
-    data matvec (equal to a fresh evaluation to roundoff).  Objectives are
-    bit-identical to a fresh evaluation, as is the residual evaluated afresh
-    for a row that a residual stop logs out of turn.  AFBA's fetch is a
-    matvec, so it fetches only for gap rows at ``log_every == 1``.
+    Call k adds x_k and s_{k+1} to the gap's running sums and, when f exposes
+    ``SmoothTerm.residual``, f's residual at x_k, whose mean gives f at the
+    mean of x with no data matvec (equal to a fresh evaluation to roundoff).
+    Objectives are ``evaluate_objective`` at the iterate, whose f reads f's
+    memo.  AFBA's residual is a matvec, so it is summed only at
+    ``log_every == 1``, where every iterate's row reads it anyway.
     """
 
     def __init__(self, spec, steps, ctx, state, reference, last, residual_tol, log_every, afba):
         self.spec, self.last, self.tol, self.log_every = spec, last, residual_tol, log_every
-        self.ref_x = self.ref_s = self.probe = self.gap_probe_dist_sq = self.r_sum = None
+        self.ref_x = self.ref_s = self.probe = self.gap_probe_dist_sq = None
         if reference is not None:
             try:
                 ref_x, ref_s = reference
@@ -543,42 +542,30 @@ class _Rows:
             if (steps.theta == 1.0 and at_most(steps.gamma, spec.beta)
                     and spec.h.conjugate_value is not None and spec.lstar.is_zero):
                 self.probe = LagrangianProbe(self.ref_x, self.ref_s)
-        # AFBA's gradient point is not its x, so its fetch is a matvec
-        fetch = not afba or (self.probe is not None and log_every == 1)
-        self.residual_of = spec.f.residual if fetch else None
-        self.r = None if self.residual_of is None else self.residual_of(state.x)
-        if self.probe is not None:  # the probe's z* calls grad f, so after the fetch
+        if self.probe is not None:
             if not ctx.indefinite:
                 z_probe = fixed_point_from_primal_dual(spec, self.ref_x, self.ref_s, steps.gamma)
                 self.gap_probe_dist_sq = combined_norm_sq(ctx, z_probe - state.z,
                                                           self.ref_s - state.s)
-            self.x_sum, self.s_sum = state.x.copy(), np.zeros(spec.s_dim)
-            self.r_sum = None if self.r is None else self.r.copy()
+            # the running sums, arrays from the first call on
+            self.x_sum = self.s_sum = 0.0
+            self.r_sum = (0.0 if spec.f.residual is not None and (not afba or log_every == 1)
+                          else None)
         self.rows, self.t_start = [], time.perf_counter()
 
-    def _logs(self, k: int) -> bool:
-        return k <= 10 or k == self.last or (self.log_every > 0 and k % self.log_every == 0)
-
     def __call__(self, k, state, nxt, res):
-        stop = res <= self.tol or k == self.last
         if self.probe is not None:
+            self.x_sum += state.x
             self.s_sum += nxt.s
-        if stop or self._logs(k):
-            self._row(k, state, res)
-        # the next iterate's residual, while it is the newest point of f's memo
-        self.r = (self.residual_of(nxt.x) if self.residual_of is not None and (
-            stop or self.r_sum is not None or self._logs(k + 1)) else None)
-        if self.probe is not None:
-            self.x_sum += nxt.x
             if self.r_sum is not None:
-                self.r_sum += self.r
+                self.r_sum += self.spec.f.residual(state.x)
+        if (res <= self.tol or k <= 10 or k == self.last
+                or (self.log_every > 0 and k % self.log_every == 0)):
+            self._row(k, state, res)
 
     def _row(self, k, state, res):
         spec, n = self.spec, k + 1
-        if self.r is None and self.residual_of is not None:  # a residual stop out of turn
-            self.r = self.residual_of(state.x)
-        obj = (evaluate_objective(spec, state.x, residual=self.r, screened=True)
-               if spec.lstar.is_zero else math.nan)
+        obj = self.objective(state.x)  # before the gap's f(x*) can take x_k's memo slot
         dist = None if self.ref_x is None else math.sqrt(np.vdot(d := state.x - self.ref_x, d))
         gap = None if self.probe is None else (
             lagrangian(spec, self.x_sum / n, self.ref_s, self.probe, screened=True,
@@ -587,9 +574,9 @@ class _Rows:
         self.rows.append(IterationRow(iter=k, objective=obj, residual_im=res, dist_to_ref=dist,
                                       gap=gap, wall_time_s=time.perf_counter() - self.t_start))
 
-    def final_objective(self, x) -> float:
-        """The objective at the last call's nxt.x, whose residual that call fetched."""
-        return (evaluate_objective(self.spec, x, residual=self.r) if self.spec.lstar.is_zero
+    def objective(self, x) -> float:
+        """The objective at an iterate of ``solve``, which its screen has checked."""
+        return (evaluate_objective(self.spec, x, screened=True) if self.spec.lstar.is_zero
                 else math.nan)
 
 
@@ -687,7 +674,7 @@ def solve(
         "lambda": steps.lam, "theta": steps.theta, "beta": spec.beta, "norm_AAt": verdict.norm_AAt,
         "stepsize_valid": verdict.valid, "forced": not verdict.valid, "iterations": k + 1,
         "converged": stop_reason == "converged", "stop_reason": stop_reason,
-        "final_objective": rows.final_objective(state.x), "final_residual": res,
+        "final_objective": rows.objective(state.x), "final_residual": res,
         "residual_metric": "euclidean" if ctx.indefinite else "M", "log_every": log_every,
         "oracle_calls": oracle_calls(spec, algorithm, k + 1, started=init is None),
     }

@@ -7,13 +7,12 @@ deterministic functions of their arguments, so trajectories are bitwise
 reproducible for a fixed BLAS thread count (another count may sum a matvec in
 another order), and every term is safe to share between solver runs.  A term
 may keep a private memo that never changes a result: the least-squares term
-keeps the residual A x - b of its latest gradient point for ``residual`` to
-reuse (``problems.least_squares_term``).  A smooth term whose value is a
-function of an affine residual r = A x - b and of x may expose both
-(``SmoothTerm.residual`` and ``value_from_residual``); ``solve`` then fetches
-the residual of each iterate whose row it logs, for its objective, and
-evaluates f at the running average of its iterates from the average of
-their residuals.
+keeps the residuals A x - b of its two latest gradient points, so f at an
+iterate of ``solve`` costs no matvec (``problems.least_squares_term``).  A
+smooth term whose value is a function of an affine residual r = A x - b and
+of x may expose both (``SmoothTerm.residual`` and ``value_from_residual``);
+a gap solve then evaluates f at the running average of its iterates from
+the average of their residuals.
 """
 
 from __future__ import annotations
@@ -67,8 +66,9 @@ class SmoothTerm:
 
     ``residual`` and ``value_from_residual``, when present, split the value
     as f(x) = value_from_residual(residual(x), x) with residual affine in x,
-    so the mean of residuals is the residual of the mean.  ``residual`` may
-    return a memoized array, which callers must not modify.
+    so the mean of residuals is the residual of the mean.  ``residual`` and
+    ``value`` may read a memo the term keeps, which decides alone which
+    points it remembers; a memoized array must not be modified.
     """
 
     value: Callable[[np.ndarray], float]
@@ -167,16 +167,14 @@ class ProblemSpec:
         return self.f.beta
 
 
-def evaluate_objective(spec: ProblemSpec, x, *, residual: np.ndarray | None = None,
-                       screened: bool = False) -> float:
+def evaluate_objective(spec: ProblemSpec, x, *, screened: bool = False) -> float:
     """Objective f(x) + g(x) + h(A x); may be +inf if an indicator is violated.
 
     Only defined when l is the indicator of the origin (the infimal
     convolution then collapses to h); anything else raises
-    ``UnsupportedObjectiveError``.  ``residual``, f's residual at x when the
-    caller has it, gives f(x) as ``f.value_from_residual(residual, x)``.
-    ``screened`` skips the ``as_vector`` check, for the iterates of ``solve``,
-    whose passes it screens for NaN and inf.
+    ``UnsupportedObjectiveError``.  ``screened`` skips the ``as_vector``
+    check, for the iterates of ``solve``, whose passes it screens for NaN and
+    inf.
     """
     if not spec.lstar.is_zero:
         raise UnsupportedObjectiveError(
@@ -184,8 +182,7 @@ def evaluate_objective(spec: ProblemSpec, x, *, residual: np.ndarray | None = No
         )
     if not screened:
         x = as_vector(x, spec.x_dim)
-    f_x = spec.f.value(x) if residual is None else spec.f.value_from_residual(residual, x)
-    total = f_x + spec.g.value(x)
+    total = spec.f.value(x) + spec.g.value(x)
     if total == INF:
         return INF
     return total + spec.h.value(spec.A.apply(x))

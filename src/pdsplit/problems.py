@@ -13,9 +13,9 @@ import ctypes
 import hashlib
 import json
 import os
+import secrets
 import stat
 import sys
-import tempfile
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,25 +47,30 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     beta is 1 / (B + 2*ridge), with B the certified upper bound on ||A^T A||
     from ``DenseMatrixOp.norm_AAt_bound``, so the declared cocoercivity holds.
 
-    The gradient keeps the bytes of its latest point with its residual
-    r = A x - b.  ``residual`` returns the stored r at a point with exactly
-    those bytes and computes A x - b otherwise, and ``value`` is
-    ``value_from_residual(residual(x), x)``, so f at the iterate whose
-    gradient a solver just took costs no matvec.  The reused r is the array
-    the same expression produced from the same input, so values are
-    bit-identical to a fresh evaluation.
+    A memo keeps the residuals r = A x - b of the two latest gradient
+    points, keyed by their bytes, newest first.  ``residual`` returns the
+    stored r at a point with exactly those bytes; otherwise it computes
+    A x - b and stores it in the second slot, so the newest gradient point
+    stays.  ``value`` is ``value_from_residual(residual(x), x)``, so f at
+    either of a solver's last two gradient points costs no matvec.  The
+    reused r is the array the same expression produced from the same input,
+    so values are bit-identical to a fresh evaluation.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     beta = 1.0 / (DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge)
-    # (bytes, residual) of the latest gradient point; replaced whole, never edited
-    memo = (None, None)
+    # (bytes, residual) pairs, newest gradient point first; replaced whole, never edited
+    memo = ((None, None), (None, None))
 
     def residual(x):
-        key, r = memo
-        if np.asarray(x, dtype=float).tobytes() == key:
-            return r
-        return A @ x - b
+        nonlocal memo
+        key = np.asarray(x, dtype=float).tobytes()
+        for known, r in memo:
+            if key == known:
+                return r
+        r = A @ x - b
+        memo = (memo[0], (key, r))
+        return r
 
     def value_from_residual(r, x):
         out = 0.5 * float(np.vdot(r, r))
@@ -76,7 +81,7 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     def gradient(x):
         nonlocal memo
         r = A @ x - b
-        memo = (np.asarray(x, dtype=float).tobytes(), r)
+        memo = ((np.asarray(x, dtype=float).tobytes(), r), memo[0])
         g = A.T @ r
         if ridge:
             g = g + 2.0 * ridge * x
@@ -289,16 +294,21 @@ if _renameat2 is not None:
     _renameat2.restype = ctypes.c_int
 
 
-def _exchange(tmp: str, path: Path) -> bool:
-    """Swap the names ``tmp`` and ``path`` in one step if ``path`` is a
-    regular file; False, with nothing moved, where that cannot be done."""
+def _swap_in(tmp: str, path: Path) -> None:
+    """Move ``tmp`` to ``path``.  Over a regular file, ``tmp`` first takes
+    that file's permission bits; then the names are swapped in one step and
+    the old file is unlinked, or, where no swap is made, ``os.replace``."""
     try:
-        if _renameat2 is None or not stat.S_ISREG(os.lstat(path).st_mode):
-            return False
+        old = os.lstat(path).st_mode
     except OSError:  # nothing at path
-        return False
-    return _renameat2(AT_FDCWD, os.fsencode(tmp), AT_FDCWD, os.fsencode(path),
-                      RENAME_EXCHANGE) == 0
+        old = 0
+    if stat.S_ISREG(old):
+        os.chmod(tmp, old & 0o777)
+        if _renameat2 is not None and _renameat2(AT_FDCWD, os.fsencode(tmp), AT_FDCWD,
+                                                 os.fsencode(path), RENAME_EXCHANGE) == 0:
+            os.unlink(tmp)  # the old file
+            return
+    os.replace(tmp, path)
 
 
 @contextlib.contextmanager
@@ -307,7 +317,9 @@ def atomic_file(path: Path, mode: str = "w"):
     when the block ends, so that ``path`` always holds one complete version;
     if the block or the rename fails, the temporary file is removed.
 
-    Over an existing regular file the names are swapped in one step (Linux
+    The file gets the mode ``open(path, "w")`` would leave: 0o666 less the
+    umask for a new path, the old permission bits for a rewrite.  Over an
+    existing regular file the names are swapped in one step (Linux
     ``renameat2`` with ``RENAME_EXCHANGE``) and the old file, now at the
     temporary name, is unlinked: a rename over a file makes ext4
     (``auto_da_alloc``) write the new data out first, tens of milliseconds a
@@ -317,14 +329,15 @@ def atomic_file(path: Path, mode: str = "w"):
     may be empty; a cache load counts that as a miss.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    while True:  # a fresh name; the kernel applies the umask to 0o666
+        tmp = str(path.parent / f"tmp{secrets.token_hex(6)}.tmp")
+        with contextlib.suppress(FileExistsError):
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
     try:
         with os.fdopen(fd, mode) as fh:
             yield fh
-        if _exchange(tmp, path):
-            os.unlink(tmp)  # the old file
-        else:
-            os.replace(tmp, path)
+        _swap_in(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)

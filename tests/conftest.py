@@ -128,3 +128,14 @@ def _counting_spec(spec):
 def counting_spec():
     """The oracle-counting wrapper: counting_spec(spec) -> (spec, counts)."""
     return _counting_spec
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask022", "umask077"])
+def umask(request):
+    """The process umask set to the parameter for one test, and the mode
+    ``open(path, "w")`` gives a new file under it."""
+    old = os.umask(request.param)
+    try:
+        yield 0o666 & ~request.param
+    finally:
+        os.umask(old)

@@ -1168,53 +1168,72 @@ class TestLoggedRows:
         assert rec.metadata["final_objective"] == evaluate_objective(
             fresh, rec.final_state.x)
 
-    def test_gap_rows_call_f_value_only_for_the_probe(self, small_fused_lasso,
-                                                      small_reference):
-        inst, ref = small_fused_lasso, small_reference
-        calls = []
-        value = inst.spec.f.value
-        f = replace(inst.spec.f, value=lambda x: calls.append(1) or value(x))
-        rec = self._gap_solve(inst, ref, spec=replace(inst.spec, f=f))
-        assert all(row.gap is not None for row in rec.rows)
-        # the objectives take the residual each step left; only f(x*) in the
-        # probe is evaluated through the value oracle
-        assert len(calls) == 1
+    @staticmethod
+    def _miss_counting(f, missed):
+        """``f`` with its memo's misses appended to ``missed``: a read whose array is
+        neither one a gradient stored nor one an earlier read returned."""
+        stored = {}
 
-    @pytest.mark.parametrize("stop", ["max_iters", "converged"])
-    def test_a_thinned_solve_fetches_f_residual_only_for_its_rows(self, small_fused_lasso,
-                                                                  stop):
-        inst = small_fused_lasso
-        steps = StepSizes.from_lambda(inst.beta, 0.125)
-        residuals = []
-        solve(inst.spec, "pd3o", steps, max_iters=60, norm_AAt=inst.norm_AAt,
-              hooks=(lambda k, st, nxt, res: residuals.append(res),))
-        # a residual stop at iteration 40 or before it, past the rows 0-10 kept
-        tol = residuals[40] if stop == "converged" else 0.0
-        assert tol < residuals[10]
-        f, newest, fetches, xs = inst.spec.f, [None], [], []
+        def keep(r, x):
+            if id(r) not in stored:
+                stored[id(r)] = r
+                missed.append(x.copy())
+            return r
 
         def gradient(x):
-            newest[0] = x.copy()
-            return f.gradient(x)
+            g = f.gradient(x)
+            r = f.residual(x)  # the newest point: a hit, which leaves the memo as it was
+            stored[id(r)] = r
+            return g
 
-        def residual(x):  # True: x is the newest point of f's memo
-            fetches.append(np.array_equal(x, newest[0]))
-            return f.residual(x)
+        return replace(f, gradient=gradient, residual=lambda x: keep(f.residual(x), x),
+                       value=lambda x: f.value_from_residual(keep(f.residual(x), x), x))
 
-        spec = replace(inst.spec, f=replace(f, gradient=gradient, residual=residual))
-        rec = solve(spec, "pd3o", steps, max_iters=60, residual_tol=tol,
-                    norm_AAt=inst.norm_AAt, log_every=0,
+    @pytest.mark.parametrize("algorithm", ["pd3o", "pd3o-reformulated", "pdfp", "condat-vu"])
+    @pytest.mark.parametrize("log_every", [1, 7])
+    @pytest.mark.parametrize("with_gap", [True, False])
+    def test_a_solve_misses_f_memo_at_most_at_its_start(self, small_fused_lasso,
+                                                         small_reference, algorithm,
+                                                         log_every, with_gap):
+        inst, ref = small_fused_lasso, small_reference
+        residuals = []
+        self._gap_solve(inst, ref, algorithm=algorithm,
+                        hooks=(lambda k, st, nxt, res: residuals.append(res),))
+        # a residual stop past rows 0-10, on an iteration log_every = 7 does not log
+        stop = next(k for k in range(20, 60) if k % 7 and residuals[k] < min(residuals[:k]))
+        steps = StepSizes.from_lambda(inst.beta, 0.125)
+        missed, xs = [], []
+        f = least_squares_term(inst.A, inst.b)
+        rec = solve(replace(inst.spec, f=self._miss_counting(f, missed)), algorithm, steps,
+                    max_iters=60, residual_tol=residuals[stop], norm_AAt=inst.norm_AAt,
+                    reference=(ref.x, ref.s) if with_gap else None, log_every=log_every,
                     hooks=(lambda k, st, nxt, res: xs.append(st.x),))
-        assert rec.metadata["stop_reason"] == stop
-        assert [row.iter for row in rec.rows] == [*range(11), len(xs) - 1]
-        # one fetch per row and one for the final objective; the row of a residual
-        # stop is not foreseen, so its residual is evaluated afresh
-        assert fetches == [True] * 11 + [stop == "max_iters", True]
+        assert rec.metadata["stop_reason"] == "converged" and len(xs) == stop + 1
+        assert rec.rows[-1].iter == stop
+        assert all((row.gap is not None) == with_gap for row in rec.rows)
+        # a gap solve: x_0, which the probe's grad f(x*) pushed out, and x* in its
+        # first row; a solve without one misses nothing
+        allowed = {x.tobytes() for x in (xs[0], ref.x)} if with_gap else set()
+        assert len(missed) <= len(allowed) and all(x.tobytes() in allowed for x in missed)
         fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
         for row in rec.rows:
             assert row.objective == evaluate_objective(fresh, xs[row.iter]), row.iter
         assert rec.metadata["final_objective"] == evaluate_objective(fresh,
                                                                      rec.final_state.x)
+
+    def test_an_afba_gap_solve_misses_f_memo_once_per_row(self, small_fused_lasso,
+                                                          small_reference):
+        inst, ref = small_fused_lasso, small_reference
+        missed, xs = [], []
+        f = least_squares_term(inst.A, inst.b)
+        rec = self._gap_solve(inst, ref, spec=replace(inst.spec, f=self._miss_counting(f, missed)),
+                              algorithm="afba", hooks=(lambda k, st, nxt, res: xs.append(st.x),))
+        assert len(rec.rows) == len(xs) == 60
+        # its gradient point is not its x: one matvec per row serves the row's
+        # objective and the gap's running sum
+        row_of = {x.tobytes(): k for k, x in enumerate(xs)}
+        assert sorted(row_of[x.tobytes()] for x in missed if x.tobytes() in row_of) == list(
+            range(60))
 
     def test_diagnostics_apply_A_once_per_gap_row(self, small_fused_lasso,
                                                   small_reference, counting_spec):

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import time
@@ -22,7 +23,7 @@ from pdsplit.cli import (
     main,
 )
 from pdsplit.exceptions import ConfigParseError, PdsplitError
-from pdsplit.problems import gen_fused_lasso
+from pdsplit.problems import CACHE_ENV_VAR, gen_fused_lasso
 
 
 def read_csv(path):
@@ -218,6 +219,39 @@ class TestRunCommand:
         code = main(["run", "--config", str(path), "--output", str(out_b)])
         assert code == EXIT_OK
         assert out_b.exists() and not (tmp_path / "a.csv").exists()
+
+
+class TestOutputModes:
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, monkeypatch, umask):
+        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+        with open(tmp_path / "sibling", "w"):
+            pass
+        assert stat.S_IMODE((tmp_path / "sibling").stat().st_mode) == umask
+        common = ["--problem", "fused-lasso", "--n", "20", "--p", "40", "--seed", "7",
+                  "--max-iters", "30", "--reference-iters", "50"]
+        commands = (["run", *common, "--output", str(tmp_path / "run" / "x.csv")],
+                    ["compare", *common, "--algorithms", "pd3o,afba", "--gamma-factors", "1.0",
+                     "--output", str(tmp_path / "cmp" / "sweep.csv")])
+
+        def run_all(expected):
+            for path in (tmp_path / "cache").glob("*.npz"):
+                path.write_bytes(b"corrupt")  # so the reference cache is rebuilt
+            for args in commands:
+                assert main(args) == EXIT_OK
+            found = {path.relative_to(tmp_path): stat.S_IMODE(path.stat().st_mode)
+                     for path in tmp_path.rglob("*") if path.is_file()}
+            # run's CSV and .meta.json, compare's merged and per-cell CSVs and
+            # manifest, the reference cache, and the sibling
+            assert len(found) == 8
+            assert found == {**dict.fromkeys(found, expected), Path("sibling"): umask}
+            return found
+
+        run_all(umask)  # new files
+        for path in run_all(umask):  # rewritten
+            if path != Path("sibling"):
+                os.chmod(tmp_path / path, 0o640)
+        run_all(0o640)  # a rewrite keeps the old permission bits
 
 
 class TestCompareCommand:

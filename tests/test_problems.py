@@ -1,5 +1,6 @@
 import math
 import os
+import stat
 import sys
 import threading
 import warnings
@@ -187,6 +188,31 @@ class TestLeastSquaresTerm:
         f.gradient(x)
         assert f.value(older) == fresh(older)  # evicted, recomputed
 
+    def test_the_memo_keeps_two_gradient_points_and_the_last_miss(self, rng):
+        A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
+        f = least_squares_term(A, b)
+        x1, x2, x3 = (rng.standard_normal(40) for _ in range(3))
+        f.gradient(x1)
+        f.gradient(x2)
+        r1, r2 = f.residual(x1), f.residual(x2)
+        assert f.residual(x1) is r1 and f.residual(x2) is r2  # both gradient points
+        np.testing.assert_array_equal(r1, A @ x1 - b)
+        f.gradient(x3)  # evicts x1, the oldest
+        r3 = f.residual(x3)
+        assert f.residual(x2) is r2
+        missed = f.residual(x1)
+        assert missed is not r1
+        np.testing.assert_array_equal(missed, r1)
+        # the miss took the second slot, x2's, and the newest point stayed
+        assert f.residual(x1) is missed and f.residual(x3) is r3
+        assert f.residual(x2) is not r2
+        # a key is the point's bytes: -0.0 is not 0.0
+        zero = np.zeros(40)
+        f.gradient(zero)
+        r0 = f.residual(zero)
+        assert f.residual(-zero) is not r0 and f.residual(zero) is r0
+        np.testing.assert_array_equal(f.residual(-zero), r0)
+
     def test_value_at_a_huge_point_warns_no_overflow(self):
         f = least_squares_term(np.eye(3), np.zeros(3), ridge=0.5)
         big = np.full(3, 1e200)
@@ -312,6 +338,23 @@ class TestAtomicFile:
         assert replaced == [path]
         assert path.read_bytes() == b"new"
         assert os.listdir(tmp_path) == ["out.csv"]
+
+    @pytest.mark.parametrize("exchange", [True, False], ids=["exchange", "replace"])
+    def test_a_file_gets_the_mode_open_gives(self, tmp_path, monkeypatch, umask, exchange):
+        if not exchange:
+            monkeypatch.setattr(problems, "_renameat2", None)
+        path, sibling = tmp_path / "out.csv", tmp_path / "sibling"
+        with open(sibling, "w"):
+            pass
+        assert stat.S_IMODE(sibling.stat().st_mode) == umask
+        self.write(path, b"new")
+        assert stat.S_IMODE(path.stat().st_mode) == umask
+        # a rewrite keeps the old permission bits, as open(path, "w") would
+        os.chmod(path, 0o640)
+        self.write(path, b"rewritten")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+        assert path.read_bytes() == b"rewritten"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "sibling"]
 
     @linux_only
     def test_a_directory_at_the_path_stays_where_it_is(self, tmp_path):

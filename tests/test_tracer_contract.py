@@ -4,7 +4,9 @@
 ``cli`` and rewraps every entry of ``algorithms.STEP_FUNCTIONS``; its
 cross-check then requires every oracle call of a solve to sit under a step,
 start or diagnostic span, with the step and start calls equal to the solve's
-declared ``oracle_calls``.  A traced ``compare`` run checks both halves.
+declared ``oracle_calls``.  A traced ``compare`` run checks both halves, and
+a traced thinned gap solve checks that each row's f value sits in its
+objective's span.
 """
 
 from pathlib import Path
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from pdsplit import cli
+from pdsplit.algorithms import StepSizes, solve
 from pdsplit.problems import CACHE_ENV_VAR
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -49,3 +52,31 @@ def test_traced_compare_passes_the_cross_check(tracer, tmp_path, monkeypatch, ca
     failures, _ = tracer.cross_check(table, trace.solves)
     assert failures == []
 
+
+
+def test_a_traced_thinned_gap_solve_passes_the_cross_check(tracer, small_fused_lasso,
+                                                           small_reference):
+    inst, ref = small_fused_lasso, small_reference
+    steps = StepSizes.from_lambda(inst.beta, 0.125)
+    residuals = []
+    solve(inst.spec, "pd3o", steps, max_iters=60, norm_AAt=inst.norm_AAt,
+          hooks=(lambda k, st, nxt, res: residuals.append(res),))
+    # a residual stop past rows 0-10, on an iteration log_every = 7 does not log
+    stop = next(k for k in range(20, 60) if k % 7 and residuals[k] < min(residuals[:k]))
+    trace = tracer.Tracer()
+    with tracer.patched(trace) as traced:
+        rec = traced["solve"](tracer.wrap_spec(inst.spec, trace), "pd3o", steps, max_iters=60,
+                              residual_tol=residuals[stop], norm_AAt=inst.norm_AAt,
+                              reference=(ref.x, ref.s), log_every=7)
+    assert rec.metadata["stop_reason"] == "converged"
+    assert [row.iter for row in rec.rows] == [k for k in range(stop)
+                                              if k <= 10 or k % 7 == 0] + [stop]
+    assert all(row.gap is not None for row in rec.rows)
+    table = tracer.SpanTable(trace)
+    failures, _ = tracer.cross_check(table, trace.solves)
+    assert failures == []
+    # f's value: once per row and once for the final objective, each inside the
+    # objective's span, and f(x*) once, inside the gap's
+    parents = table.nid[table.parent[table.mask("core.f_value")]]
+    names = [trace.names[i] for i in parents]
+    assert sorted(names) == ["core.objective"] * (len(rec.rows) + 1) + ["metrics.lagrangian"]
