@@ -565,7 +565,7 @@ class _Rows:
 
     def _row(self, k, state, res):
         spec, n = self.spec, k + 1
-        obj = self.objective(state.x)  # before the gap's f(x*) can take x_k's memo slot
+        obj = self.objective(state.x)
         dist = None if self.ref_x is None else math.sqrt(np.vdot(d := state.x - self.ref_x, d))
         gap = None if self.probe is None else (
             lagrangian(spec, self.x_sum / n, self.ref_s, self.probe, screened=True,

@@ -105,6 +105,7 @@ _KEY_OF = {"lam": "lambda"}
 _FLAG_OF = {**_KEY_OF, "residual_tol": "tol"}
 _FIELD_BY_KEY = {_KEY_OF.get(f.name, f.name): f for f in dataclasses.fields(RunConfig)}
 _CAST = {"int": int, "float": float, "str": str}
+_CHOICES = {"problem": PROBLEMS, "algorithm": tuple(a.value for a in AlgorithmId)}
 
 
 def config_from_text(text: str) -> RunConfig:
@@ -123,12 +124,10 @@ def config_from_text(text: str) -> RunConfig:
             raise ConfigParseError(f"unknown key {key!r}", line_no, 1)
         col = raw.index("=") + 2
         try:
-            if f.type == "bool":
-                if val not in ("true", "false"):
-                    raise ValueError(val)
-                parsed = val == "true"
-            else:
-                parsed = _CAST[f.type](val)
+            allowed = ("true", "false") if f.type == "bool" else _CHOICES.get(f.name)
+            if allowed is not None and val not in allowed:
+                raise ValueError(val)
+            parsed = val == "true" if f.type == "bool" else _CAST[f.type](val)
         except ValueError:
             raise ConfigParseError(
                 f"bad value {val!r} for {key}", line_no, col
@@ -144,7 +143,7 @@ def build_instance(cfg: RunConfig):
         return gen_elastic_net_strongly_convex(cfg.n, cfg.p, cfg.seed, cfg.mu1, cfg.mu2)
     if cfg.problem == "toy-quadratic":
         return gen_toy_quadratic(cfg.n, cfg.seed)
-    raise ConfigParseError(f"unknown problem {cfg.problem!r}", 1, 1)
+    raise ConfigParseError(f"unknown problem {cfg.problem!r}")
 
 
 def steps_for(cfg: RunConfig, instance, gamma_factor=None, lam=None) -> StepSizes:
@@ -415,8 +414,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="pdsplit", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    choices = {"problem": PROBLEMS, "algorithm": [a.value for a in AlgorithmId]}
-
     def add_common(p):
         p.add_argument("--config", help="key=value config file; flags override it")
         for f in dataclasses.fields(RunConfig):  # one flag per setting
@@ -425,7 +422,7 @@ def make_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, action="store_true", default=None, dest=f.name)
             else:
                 p.add_argument(flag, type=_CAST[f.type], dest=f.name,
-                               choices=choices.get(f.name))
+                               choices=_CHOICES.get(f.name))
 
     add_common(sub.add_parser("validate", help="report step-size admissibility"))
     add_common(sub.add_parser("run", help="solve one configuration, write CSV"))

@@ -7,12 +7,12 @@ deterministic functions of their arguments, so trajectories are bitwise
 reproducible for a fixed BLAS thread count (another count may sum a matvec in
 another order), and every term is safe to share between solver runs.  A term
 may keep a private memo that never changes a result: the least-squares term
-keeps the residuals A x - b of its two latest gradient points, so f at an
-iterate of ``solve`` costs no matvec (``problems.least_squares_term``).  A
-smooth term whose value is a function of an affine residual r = A x - b and
-of x may expose both (``SmoothTerm.residual`` and ``value_from_residual``);
-a gap solve then evaluates f at the running average of its iterates from
-the average of their residuals.
+keeps the last three residuals A x - b it computed, so f at an iterate of
+``solve`` costs no matvec (``problems.least_squares_term``).  A smooth term
+whose value is a function of an affine residual r = A x - b and of x may
+expose both (``SmoothTerm.residual`` and ``value_from_residual``); a gap
+solve then evaluates f at the running average of its iterates from the
+average of their residuals.
 """
 
 from __future__ import annotations

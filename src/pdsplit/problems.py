@@ -47,30 +47,32 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
     beta is 1 / (B + 2*ridge), with B the certified upper bound on ||A^T A||
     from ``DenseMatrixOp.norm_AAt_bound``, so the declared cocoercivity holds.
 
-    A memo keeps the residuals r = A x - b of the two latest gradient
-    points, keyed by their bytes, newest first.  ``residual`` returns the
-    stored r at a point with exactly those bytes; otherwise it computes
-    A x - b and stores it in the second slot, so the newest gradient point
-    stays.  ``value`` is ``value_from_residual(residual(x), x)``, so f at
-    either of a solver's last two gradient points costs no matvec.  The
-    reused r is the array the same expression produced from the same input,
-    so values are bit-identical to a fresh evaluation.
+    A memo keeps the last three residuals r = A x - b it computed, keyed by
+    the bytes of their points: each r that ``gradient`` or a ``residual``
+    miss computes goes in first, and the oldest of three drops out.
+    ``residual`` returns the stored r at a point with exactly those bytes.
+    ``value`` is ``value_from_residual(residual(x), x)``, so f at any of
+    those points costs no matvec.  The reused r is the array the same
+    expression produced from the same input, so values are bit-identical to
+    a fresh evaluation.
     """
     A = np.ascontiguousarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     beta = 1.0 / (DenseMatrixOp(A).norm_AAt_bound() + 2.0 * ridge)
-    # (bytes, residual) pairs, newest gradient point first; replaced whole, never edited
-    memo = ((None, None), (None, None))
+    # (bytes, residual) pairs, newest first, at most three; replaced whole, never edited
+    memo = ()
+
+    def remember(key, r):
+        nonlocal memo
+        memo = ((key, r),) + memo[:2]
+        return r
 
     def residual(x):
-        nonlocal memo
         key = np.asarray(x, dtype=float).tobytes()
         for known, r in memo:
             if key == known:
                 return r
-        r = A @ x - b
-        memo = (memo[0], (key, r))
-        return r
+        return remember(key, A @ x - b)
 
     def value_from_residual(r, x):
         out = 0.5 * float(np.vdot(r, r))
@@ -79,10 +81,7 @@ def least_squares_term(A, b, ridge: float = 0.0) -> SmoothTerm:
         return out
 
     def gradient(x):
-        nonlocal memo
-        r = A @ x - b
-        memo = ((np.asarray(x, dtype=float).tobytes(), r), memo[0])
-        g = A.T @ r
+        g = A.T @ remember(np.asarray(x, dtype=float).tobytes(), A @ x - b)
         if ridge:
             g = g + 2.0 * ridge * x
         return g

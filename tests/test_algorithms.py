@@ -137,10 +137,16 @@ class TestPd3oStep:
                                     value=lambda s: 0.5 * c * float(s @ s))
         spec = ProblemSpec(f=quadratic_distance_term(d), g=zero_prox(),
                            h=squared_l2(0.5), lstar=lstar, A=IdentityOp(dim))
-        rec = solve(spec, "pd3o", StepSizes.from_lambda(0.9, 0.5), max_iters=500,
-                    residual_tol=1e-13, norm_AAt=1.0)
+        steps = StepSizes.from_lambda(0.9, 0.5)
+        rec = solve(spec, "pd3o", steps, max_iters=500, residual_tol=1e-13, norm_AAt=1.0)
         np.testing.assert_allclose(rec.final_state.x, d * (1 + c) / (2 + c),
                                    atol=1e-10)
+        # its dual condition reads A x - grad l*(s) in subdiff h*(s)
+        z, s = rec.final_state.z, rec.final_state.s
+        res = fixed_point_residuals(spec, steps, z, s)
+        assert max(res.primal, res.dual) <= 1e-10
+        without = fixed_point_residuals(replace(spec, lstar=zero_conjugate_smooth()), steps, z, s)
+        assert without.dual > 0.1
 
 
 class TestReductions:
@@ -496,6 +502,13 @@ class TestValidateStepsizes:
                           "papc"):
             assert not validate_stepsizes(algorithm, steps, beta=1.0,
                                           norm_AAt=4.0).valid, algorithm
+
+    @pytest.mark.parametrize("beta, norm", [(0.0, 4.0), (-1.0, 4.0), (math.nan, 4.0),
+                                            (1.0, -0.5)])
+    def test_a_nonpositive_beta_or_a_negative_norm_is_refused(self, beta, norm):
+        with pytest.raises(ValueError, match="beta must be positive and norm_AAt nonnegative"):
+            validate_stepsizes("pd3o", StepSizes.from_lambda(1.0, 0.1), beta=beta,
+                               norm_AAt=norm)
 
     def test_davis_yin_needs_unit_product(self):
         assert validate_stepsizes("davis-yin", StepSizes(0.5, 2.0), 1.0, 1.0).valid
@@ -1192,9 +1205,8 @@ class TestLoggedRows:
     @pytest.mark.parametrize("algorithm", ["pd3o", "pd3o-reformulated", "pdfp", "condat-vu"])
     @pytest.mark.parametrize("log_every", [1, 7])
     @pytest.mark.parametrize("with_gap", [True, False])
-    def test_a_solve_misses_f_memo_at_most_at_its_start(self, small_fused_lasso,
-                                                         small_reference, algorithm,
-                                                         log_every, with_gap):
+    def test_a_solve_never_misses_f_memo(self, small_fused_lasso, small_reference,
+                                         algorithm, log_every, with_gap):
         inst, ref = small_fused_lasso, small_reference
         residuals = []
         self._gap_solve(inst, ref, algorithm=algorithm,
@@ -1211,10 +1223,8 @@ class TestLoggedRows:
         assert rec.metadata["stop_reason"] == "converged" and len(xs) == stop + 1
         assert rec.rows[-1].iter == stop
         assert all((row.gap is not None) == with_gap for row in rec.rows)
-        # a gap solve: x_0, which the probe's grad f(x*) pushed out, and x* in its
-        # first row; a solve without one misses nothing
-        allowed = {x.tobytes() for x in (xs[0], ref.x)} if with_gap else set()
-        assert len(missed) <= len(allowed) and all(x.tobytes() in allowed for x in missed)
+        # x_0 and x*, the gap's start, are still in the memo when row 0 reads them
+        assert not missed
         fresh = replace(inst.spec, f=least_squares_term(inst.A, inst.b))
         for row in rec.rows:
             assert row.objective == evaluate_objective(fresh, xs[row.iter]), row.iter
@@ -1405,6 +1415,19 @@ class TestOneScreenPerPass:
             solve(spec, "pd3o", StepSizes.from_lambda(spec.beta, 0.5 / norm),
                   max_iters=10, norm_AAt=norm)
         assert (excinfo.value.sub_step, excinfo.value.iteration) == ("x-update", 1)
+
+    def test_a_finite_pass_whose_metric_fails_raises_the_metric_error(self, small_fused_lasso):
+        # a declared ||AA^T|| below the truth admits steps whose dual metric is
+        # indefinite; the pass is finite, so the metric's own error reaches the caller
+        inst = small_fused_lasso
+        low = 0.5 * inst.norm_AAt
+        steps = StepSizes.from_lambda(inst.beta, 0.9 / low)
+        with pytest.raises(GeometryViolationError, match="not positive semidefinite"):
+            solve(inst.spec, "pd3o", steps, max_iters=50, norm_AAt=low)
+        # the failing pass, pass 0, is finite
+        nxt = alg.STEP_FUNCTIONS[AlgorithmId.PD3O](initial_state(inst.spec, steps, "pd3o"),
+                                                   inst.spec, steps)
+        assert all(np.all(np.isfinite(v)) for v in (nxt.z, nxt.s, nxt.x, nxt.xbar))
 
     def test_a_direct_step_call_checks_the_state(self, small_fused_lasso):
         # (every premise: TestSchemeTable::test_each_premise_breaks_the_step_by_name)

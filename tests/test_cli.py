@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from pdsplit import cli
-from pdsplit.algorithms import AlgorithmId, StepSizes
+from pdsplit.algorithms import AlgorithmId, StepSizes, solve
 from pdsplit.cli import (
     EXIT_INADMISSIBLE,
     EXIT_NUMERICAL,
@@ -23,7 +23,7 @@ from pdsplit.cli import (
     main,
 )
 from pdsplit.exceptions import ConfigParseError, PdsplitError
-from pdsplit.problems import CACHE_ENV_VAR, gen_fused_lasso
+from pdsplit.problems import CACHE_ENV_VAR, gen_elastic_net_strongly_convex, gen_fused_lasso
 
 
 def read_csv(path):
@@ -73,6 +73,24 @@ class TestConfigFile:
     def test_comments_and_blanks_skipped(self):
         cfg = config_from_text("# comment\n\nn=42\n")
         assert cfg.n == 42
+
+    @pytest.mark.parametrize("line, where", [
+        ("problem=nope", "line 3, column 9: bad value 'nope' for problem"),
+        ("algorithm=nope", "line 3, column 11: bad value 'nope' for algorithm"),
+        ("force=maybe", "line 3, column 7: bad value 'maybe' for force"),
+    ])
+    def test_a_value_outside_its_choices_reports_line_and_column(self, tmp_path, capsys,
+                                                                  line, where):
+        path = tmp_path / "run.cfg"
+        path.write_text(f"# comment\nn=6\n{line}\n")
+        out = tmp_path / "x.csv"
+        assert main(["run", "--config", str(path), "--output", str(out)]) == EXIT_PARSE
+        assert capsys.readouterr().err == f"config error: {where}\n"
+        assert not out.exists()
+
+    def test_an_unknown_problem_in_a_built_config_is_a_config_error(self):
+        with pytest.raises(ConfigParseError, match="unknown problem 'nope'"):
+            cli.build_instance(RunConfig(problem="nope"))
 
 
 class TestValidateCommand:
@@ -166,6 +184,22 @@ class TestRunCommand:
         assert meta["forced"] is False
         assert meta["config"]["problem"] == "toy-quadratic"
         assert "stop_reason=converged" in capsys.readouterr().out
+
+    def test_an_elastic_net_run_matches_the_library(self, tmp_path):
+        out = tmp_path / "en.csv"
+        code = main(["run", "--problem", "elastic-net", "--n", "12", "--p", "20",
+                     "--seed", "5", "--mu1", "0.5", "--mu2", "0.1", "--gamma-factor", "1.5",
+                     "--lambda", "0.5", "--max-iters", "300", "--tol", "1e-9",
+                     "--output", str(out)])
+        assert code == EXIT_OK
+        meta = json.loads(out.with_suffix(".csv.meta.json").read_text())
+        assert meta["problem"]["kind"] == "elastic-net"
+        inst = gen_elastic_net_strongly_convex(n=12, p=20, seed=5, mu1=0.5, mu2=0.1)
+        rec = solve(inst.spec, "pd3o", StepSizes.from_lambda(1.5 * inst.beta, 0.5),
+                    max_iters=300, residual_tol=1e-9, norm_AAt=inst.norm_AAt)
+        assert meta["iterations"] == rec.metadata["iterations"]
+        assert meta["final_objective"] == rec.metadata["final_objective"]
+        assert float(read_csv(out)[-1][1]) == rec.rows[-1].objective
 
     def test_monotone_residual_column(self, tmp_path):
         out = tmp_path / "fl.csv"

@@ -188,23 +188,25 @@ class TestLeastSquaresTerm:
         f.gradient(x)
         assert f.value(older) == fresh(older)  # evicted, recomputed
 
-    def test_the_memo_keeps_two_gradient_points_and_the_last_miss(self, rng):
+    def test_the_memo_keeps_the_three_latest_points(self, rng):
         A, b = rng.standard_normal((15, 40)), rng.standard_normal(15)
         f = least_squares_term(A, b)
-        x1, x2, x3 = (rng.standard_normal(40) for _ in range(3))
+        x1, x2, x3, x4 = (rng.standard_normal(40) for _ in range(4))
         f.gradient(x1)
         f.gradient(x2)
+        r3 = f.residual(x3)  # a miss goes in first, as a gradient point does
         r1, r2 = f.residual(x1), f.residual(x2)
-        assert f.residual(x1) is r1 and f.residual(x2) is r2  # both gradient points
-        np.testing.assert_array_equal(r1, A @ x1 - b)
-        f.gradient(x3)  # evicts x1, the oldest
-        r3 = f.residual(x3)
-        assert f.residual(x2) is r2
+        for x, r in ((x1, r1), (x2, r2), (x3, r3)):
+            assert f.residual(x) is r and f.residual(x.copy()) is r
+            np.testing.assert_array_equal(r, A @ x - b)
+        f.gradient(x4)  # a fourth store evicts x1, the oldest
+        r4 = f.residual(x4)
+        assert f.residual(x2) is r2 and f.residual(x3) is r3
         missed = f.residual(x1)
         assert missed is not r1
         np.testing.assert_array_equal(missed, r1)
-        # the miss took the second slot, x2's, and the newest point stayed
-        assert f.residual(x1) is missed and f.residual(x3) is r3
+        # the miss went in first and evicted x2, now the oldest; a read moves nothing
+        assert f.residual(x1) is missed and f.residual(x4) is r4 and f.residual(x3) is r3
         assert f.residual(x2) is not r2
         # a key is the point's bytes: -0.0 is not 0.0
         zero = np.zeros(40)
@@ -272,6 +274,19 @@ class TestReferenceSolution:
         with pytest.raises(OSError, match="rename refused"):
             reference_solution(gen_toy_quadratic(dim=7, seed=4), iters=40, cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_cache_file_of_another_instance_is_rebuilt(self, tmp_path):
+        mine, other = gen_toy_quadratic(dim=7, seed=4), gen_toy_quadratic(dim=7, seed=5)
+        ref = reference_solution(mine, iters=40, cache_dir=tmp_path)
+        (path,) = tmp_path.glob("ref-*.npz")
+        reference_solution(other, iters=40, cache_dir=tmp_path)
+        (other_path,) = set(tmp_path.glob("ref-*.npz")) - {path}
+        other_path.replace(path)  # the other instance's file under this instance's name
+        again = reference_solution(mine, iters=40, cache_dir=tmp_path)
+        np.testing.assert_array_equal(again.x, ref.x)
+        np.testing.assert_array_equal(again.s, ref.s)
+        with np.load(path) as data:
+            assert str(data["instance_key"]) == mine.instance_key
 
     def test_cache_distinguishes_iteration_count(self, tmp_path):
         inst = gen_toy_quadratic(dim=7, seed=4)
