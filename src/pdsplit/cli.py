@@ -12,11 +12,11 @@ command accepts a scheme through ``algorithms.admit``: its premises, then
 theta's cap, then the step-size conditions; validate reports each scheme's
 first refusal.  run and compare solve a cell through one runner.  compare
 refuses repeated series ids, then admits every cell before the reference; it
-skips refused cells, or exits 2 and writes nothing when none is admitted.  It
-runs cells on the caller and, on Linux, a forked worker per further usable CPU;
-a cell that raises ends it with an error naming the cell, and the cells still
-running are killed.  Every output follows grid order, each cell's stderr (its
-warnings once) just before its line.
+skips refused cells, or exits 2 and writes nothing when none is admitted.  A
+cell runs in the one process that claims it first: the caller, which claims the
+first, or on Linux a forked worker per further usable CPU.  A raising cell ends
+compare with an error naming it, and running cells are killed.  Every output
+follows grid order, each cell's stderr (its warnings once) just before its line.
 Exit codes: 0 success, 1 parse error, 2 inadmissible, 3 numerical failure.
 """
 
@@ -31,7 +31,6 @@ import json
 import multiprocessing
 import os
 import sys
-import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -269,7 +268,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_worker_run = None  # in a worker, the caller's run(cell index), set by _init_worker
+_worker_run = None  # in a worker, runs a cell index it claims; set by _init_worker
 
 
 def _init_worker(run) -> None:
@@ -282,11 +281,10 @@ def _worker_cell(i: int):
 
 
 def _grid_outcomes(cfg: RunConfig, instance, reference, grid: list, admitted: list):
-    """Yield each admitted cell's outcome in grid order.  The caller runs the
-    first, so a profiler or tracer here sees a cell of every grid.  On Linux
-    ``min(cells, usable CPUs) - 1`` workers run the others too: whoever is free
-    takes the next cell nobody has started, the caller while a worker runs the
-    cell whose turn it is.  Closing the generator kills cells that still run."""
+    """Yield each admitted cell's outcome in grid order.  A cell runs in the process that
+    claims it first.  The caller claims the first, so a tracer here sees a cell of every
+    grid; on Linux ``min(cells, usable CPUs) - 1`` forked workers are given the rest, and
+    the caller claims the next free cell while a worker runs the one whose turn it is."""
     def run(i):
         return _cell_outcome(cfg, instance, reference, *grid[i])
 
@@ -298,41 +296,40 @@ def _grid_outcomes(cfg: RunConfig, instance, reference, grid: list, admitted: li
     # which do not pickle, so a fork inherits ``run`` with the instance and the
     # reference; and a spawn or forkserver context starts multiprocessing's
     # resource tracker, a process that outlives the call.
+    fork = multiprocessing.get_context("fork")
+    claims = fork.Array("b", len(grid))  # claims[i]: some process has taken cell i
+
+    def claim(i):
+        with claims.get_lock():
+            taken, claims[i] = claims[i], 1
+        return not taken
+
+    claims[admitted[0]] = 1
     before = set(multiprocessing.active_children())
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_init_worker, initargs=(run,))
-    # untaken: a worker gets a cell only when it is free, so the caller can take any
-    lock, futures, untaken, mine = threading.RLock(), {}, admitted[1:], {}
-
-    def feed(_=None):  # hand each free worker the next untaken cell
-        with lock, contextlib.suppress(RuntimeError):  # the pool is broken or shut down
-            while untaken and sum(not f.done() for f in futures.values()) < workers:
-                futures[untaken[0]] = pool.submit(_worker_cell, untaken[0])
-                futures[untaken.pop(0)].add_done_callback(feed)
-
-    def take(i):  # the caller's next cell, while cell i is not done
-        with lock:
-            if untaken and i not in mine and not (i in futures and futures[i].done()):
-                return untaken.pop(0)
-
+    pool = ProcessPoolExecutor(workers, mp_context=fork, initializer=_init_worker,
+                               initargs=(lambda i: run(i) if claim(i) else None,))
+    mine = {}  # outcomes of the cells the caller claimed past the first
     try:
-        feed()
-        yield run(admitted[0])
+        futures = {i: pool.submit(_worker_cell, i) for i in admitted[1:]}
+        outcome = run(admitted[0])
         for i in admitted[1:]:
-            while (j := take(i)) is not None:
-                mine[j] = run(j)
+            yield outcome
+            for j in admitted:  # until cell i is done, or every cell is claimed
+                if i in mine or futures[i].done():
+                    break
+                if claim(j):
+                    mine[j] = run(j)
             try:
                 outcome = mine.pop(i) if i in mine else futures[i].result()
             except Exception as err:  # a worker died (BrokenProcessPool)
                 outcome = "error", f"{type(err).__name__}: {err}", ""
-            yield outcome
+    except BaseException:  # closed early
+        for child in set(multiprocessing.active_children()) - before:
+            child.kill()
+        raise
     finally:
-        with lock:  # no cell is handed out from here on
-            untaken.clear()
-        if not all(future.done() for future in futures.values()):  # ended early
-            for child in set(multiprocessing.active_children()) - before:
-                child.kill()
         pool.shutdown(cancel_futures=True)
+    yield outcome  # past the pool, so closing the generator after it kills nothing
 
 
 def cmd_compare(cfg: RunConfig, algorithms, gamma_factors, lambdas) -> int:

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -6,6 +7,7 @@ import stat
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -469,23 +471,27 @@ class TestCompareCommand:
         with pytest.raises(ChildProcessError):  # the killed worker is reaped
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_cell_waits_for_a_free_worker_so_the_caller_can_take_it(
+    def test_a_cell_queued_behind_a_busy_worker_is_run_by_the_caller(
             self, tmp_path, tmp_path_factory, monkeypatch):
         monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         caller, run_cell = os.getpid(), cli._run_cell
-        log, last_done = tmp_path / "pids.log", tmp_path_factory.mktemp("flag") / "done"
-        last = "pdfp_gf1.5_lam0.125"
+        log, flags = tmp_path / "pids.log", tmp_path_factory.mktemp("flags")
 
         def logged(cfg, instance, reference, cell, steps):
+            in_worker = os.getpid() != caller
             with open(log, "a") as fh:
                 fh.write(f"{cell['series_id']} {os.getpid()}\n")
-            for _ in range(1000 if os.getpid() != caller else 0):
-                if last_done.exists():  # the worker holds its cell until the last is run
+            if in_worker:
+                (flags / "held").touch()
+            # the caller waits until the worker holds a cell, and the worker holds
+            # it until the caller has run the three others
+            for _ in range(1000):
+                if len(os.listdir(flags)) >= (4 if in_worker else 1):
                     break
                 time.sleep(0.01)
             outcome = run_cell(cfg, instance, reference, cell, steps)
-            if cell["series_id"] == last:
-                last_done.touch()
+            if not in_worker:
+                (flags / cell["series_id"]).touch()
             return outcome
 
         monkeypatch.setattr(cli, "_run_cell", logged)
@@ -494,10 +500,39 @@ class TestCompareCommand:
                      "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
                      "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "g.csv")]
                     ) == EXIT_OK
-        pid_of = dict(line.split() for line in log.read_text().splitlines())
-        # the worker took one cell; no other waited in the pool's queue for it
-        assert [sid for sid, pid in pid_of.items() if pid != str(caller)] == [
-            "pd3o_gf1.5_lam0.125"]
+        pids = [line.split()[1] for line in log.read_text().splitlines()]
+        # the worker ran the one cell it claimed; the executor queued another for
+        # it, and the caller claimed that one too
+        assert len(pids) == 4 and pids.count(str(caller)) == 3
+
+    @pytest.mark.parametrize("raising", [None, "pd3o_gf1_lam0.125", "pdfp_gf1.5_lam0.125"])
+    def test_a_compare_leaves_nothing_behind(self, tmp_path, monkeypatch, capsys, raising):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        build, run_cell, kept = cli.build_instance, cli._run_cell, []
+
+        def watched(cfg):
+            instance = build(cfg)
+            kept.append(weakref.ref(instance))
+            return instance
+
+        def maybe_raising(cfg, instance, reference, cell, steps):
+            if cell["series_id"] == raising:
+                raise RuntimeError("boom")
+            return run_cell(cfg, instance, reference, cell, steps)
+
+        monkeypatch.setattr(cli, "build_instance", watched)
+        monkeypatch.setattr(cli, "_run_cell", maybe_raising)
+        gc.disable()  # so the instance must go by reference counts alone
+        try:
+            code = main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                         "--seed", "3", "--max-iters", "30", "--tol", "0",
+                         "--reference-iters", "200", "--algorithms", "pd3o,pdfp",
+                         "--gamma-factors", "1.0,1.5", "--output", str(tmp_path / "g.csv")])
+            alive = [ref() is not None for ref in kept]
+        finally:
+            gc.enable()
+        assert code == (EXIT_OK if raising is None else EXIT_PARSE), capsys.readouterr().err
+        assert alive == [False]
 
     def test_numerically_failed_cells_are_recorded(self, tmp_path, capsys):
         out = tmp_path / "div.csv"

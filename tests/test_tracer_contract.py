@@ -4,9 +4,10 @@
 ``cli`` and rewraps every entry of ``algorithms.STEP_FUNCTIONS``; its
 cross-check then requires every oracle call of a solve to sit under a step,
 start or diagnostic span, with the step and start calls equal to the solve's
-declared ``oracle_calls``.  A traced ``compare`` run checks both halves, and
-a traced thinned gap solve checks that each row's f value sits in its
-objective's span.
+declared ``oracle_calls``.  A traced ``compare`` run checks both halves; on
+two CPUs it must still trace a cell solve besides the reference, since the
+per-layer metrics average that solve's gradients.  A traced thinned gap solve
+checks that each row's f value sits in its objective's span.
 """
 
 from pathlib import Path
@@ -52,6 +53,29 @@ def test_traced_compare_passes_the_cross_check(tracer, tmp_path, monkeypatch, ca
     failures, _ = tracer.cross_check(table, trace.solves)
     assert failures == []
 
+
+def test_a_traced_compare_on_two_cpus_solves_a_cell_in_the_caller(tracer, tmp_path,
+                                                                   monkeypatch, capsys):
+    # the caller claims the first cell, so a trace on more than one CPU holds a
+    # cell solve and its gradients, which the bench's per-layer metrics average
+    monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path / "cache"))
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    trace = tracer.Tracer()
+    with tracer.patched(trace):
+        status = cli.main(["compare", "--problem", "fused-lasso", "--n", "20", "--p", "40",
+                           "--seed", "7", "--algorithms", "pd3o,pdfp",
+                           "--gamma-factors", "1.0,1.5", "--lambdas", "0.125",
+                           "--max-iters", "200", "--reference-iters", "300",
+                           "--output", str(tmp_path / "sweep.csv")])
+    assert status == cli.EXIT_OK, capsys.readouterr().err
+    table = tracer.SpanTable(trace)
+    in_reference = table.mask("problems.reference")
+    cells = [idx for idx, _ in trace.solves if not in_reference[table.parent[idx]]]
+    assert 1 <= len(cells) <= 4 and len(trace.solves) == len(cells) + 1
+    solve_of = tracer.nearest(table.parent, table.mask("algorithms.solve"))
+    assert np.isin(cells, solve_of[table.mask("core.f_grad")]).all()
+    failures, _ = tracer.cross_check(table, trace.solves)
+    assert failures == []
 
 
 def test_a_traced_thinned_gap_solve_passes_the_cross_check(tracer, small_fused_lasso,
